@@ -16,20 +16,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 # fuzz block below is also a 100+-seed predicated sweep.
 cargo run --release -p sv-bench --bin fuzz -- --seeds 0..200 --fail-fast --jobs "$JOBS"
 
-# Engine self-check: every compiled case executed on both the fast
-# pre-decoded engine and the reference interpreters must agree bit for
-# bit.
-cargo run --release -p sv-bench --bin fuzz -- --seeds 0..100 --oracle-selfcheck --fail-fast --jobs "$JOBS"
-
-# Executed-schedule gate: the slot-accurate VLIW executor replays every
-# compiled piece's flat layout cycle by cycle; final state must be
-# bit-identical to the reference engine and the measured steady-state
+# Engine and executed-schedule gate. Every compiled case runs in order on
+# both the fast pre-decoded engine and the reference interpreter, which
+# must agree bit for bit. The slot-accurate VLIW executor also replays
+# every compiled piece's flat layout cycle by cycle; its final state must
+# be bit-identical to the reference engine and the measured steady-state
 # cycles/iteration must equal the scheduled II (zero interlock stalls).
 # Three layers: the equivalence suite (200 seeded loops x 7 strategies x
 # 3 registry machines plus the benchmark kernels and the found-bug
-# regressions), a 100-seed fuzz pass, and the full-registry sweep whose
-# bytes are pinned by the table_executed.txt golden (any VIOLATION line
-# fails the test).
+# regressions), a 100-seed fuzz pass running both engine comparisons,
+# and the full-registry sweep whose bytes are pinned by the
+# table_executed.txt golden (any VIOLATION line fails the test).
 cargo test --release -p sv-sim --test sched_exec_equiv
 cargo run --release -p sv-bench --bin fuzz -- --seeds 0..100 --executed-selfcheck --fail-fast --jobs "$JOBS"
 # The same executed gate swept over the select-capacity registry

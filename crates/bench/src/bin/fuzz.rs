@@ -12,21 +12,19 @@
 //! cargo run --release -p sv-bench --bin fuzz -- --seeds 0..500
 //! cargo run --release -p sv-bench --bin fuzz -- --seeds 0..200 --fail-fast
 //! cargo run --release -p sv-bench --bin fuzz -- --seeds 0..500 --jobs 8
-//! cargo run --release -p sv-bench --bin fuzz -- --seeds 0..100 --oracle-selfcheck
 //! cargo run --release -p sv-bench --bin fuzz -- --seeds 0..100 --executed-selfcheck
 //! cargo run --release -p sv-bench --bin fuzz -- --seeds 0..100 --optimal-selfcheck
 //! ```
 //!
-//! `--oracle-selfcheck` additionally executes every compiled case on both
-//! the pre-decoded fast engine and the retained reference interpreters
-//! (`sv_sim::reference`) and fails on any bit-level disagreement between
-//! them, shrinking the diverging loop like any other failure.
-//!
-//! `--executed-selfcheck` replays every compiled plan through the
-//! cycle-accurate VLIW executor ([`sv_sim::executed_selfcheck`]) and
-//! fails when the executed state diverges from the reference engine or
-//! when any piece's measured steady-state cycles/iteration misses its
-//! scheduled II — the schedule itself is what gets fuzzed.
+//! `--executed-selfcheck` runs both engine comparisons on every compiled
+//! case. It executes the source loop and the plan in order on both the
+//! pre-decoded fast engine and the retained reference interpreter
+//! ([`sv_sim::oracle_selfcheck`]), and it replays the plan through the
+//! cycle-accurate VLIW executor ([`sv_sim::executed_selfcheck`]). It
+//! fails on any bit-level disagreement with the reference, or when any
+//! piece's measured steady-state cycles/iteration misses its scheduled
+//! II — the schedule itself is what gets fuzzed. Divergences shrink like
+//! any other failure.
 //!
 //! `--optimal-selfcheck` cross-checks the optimal-II oracle on every
 //! selective case: the exact search ([`sv_core::optimal_search`]) must
@@ -132,21 +130,19 @@ fn fuzz_loop(name: &str, profile: &SynthProfile, seed: u64) -> Loop {
 /// source-vs-compiled differential execution.
 #[derive(Clone, Copy, Default)]
 struct Checks {
-    /// Fast engine vs retained reference interpreters.
-    oracle: bool,
-    /// Cycle-accurate executor: state vs reference + measured II gate.
+    /// Fast in-order engine and cycle-accurate executor, each vs the
+    /// retained reference interpreter, plus the measured II gate.
     executed: bool,
     /// Optimal-II oracle vs heuristic vs driver vs executed II.
     optimal: bool,
 }
 
 /// Compile + differentially execute one (loop, machine, strategy) case.
-/// `checks.oracle` additionally runs the fast execution engine against
-/// the retained reference interpreters ([`oracle_selfcheck`]);
-/// `checks.executed` replays the plan through the cycle-accurate
-/// executor and holds it to the state + measured-II gates
-/// ([`sv_sim::executed_selfcheck`]). Returns a description of the
-/// failure, if any.
+/// `checks.executed` additionally runs the fast in-order engine against
+/// the retained reference interpreter ([`oracle_selfcheck`]) and replays
+/// the plan through the cycle-accurate executor, holding it to the
+/// state + measured-II gates ([`sv_sim::executed_selfcheck`]). Returns a
+/// description of the failure, if any.
 fn run_case(l: &Loop, m: &MachineConfig, strategy: Strategy, checks: Checks) -> Option<String> {
     let cfg = DriverConfig::for_strategy(strategy);
     match compile_checked(l, m, &cfg) {
@@ -159,12 +155,10 @@ fn run_case(l: &Loop, m: &MachineConfig, strategy: Strategy, checks: Checks) -> 
             if let Err(e) = check_equivalent(l, &compiled) {
                 return Some(format!("{prefix}divergence: {e}"));
             }
-            if checks.oracle {
+            if checks.executed {
                 if let Err(e) = oracle_selfcheck(l, &compiled) {
                     return Some(format!("{prefix}engine self-check divergence: {e}"));
                 }
-            }
-            if checks.executed {
                 if let Err(e) = sv_sim::executed_selfcheck(&compiled, m) {
                     return Some(format!("{prefix}executed self-check failure: {e}"));
                 }
@@ -378,7 +372,6 @@ fn parse_args() -> Result<Opts, String> {
                 opts.end = hi.parse().map_err(|e| format!("bad seed end `{hi}`: {e}"))?;
             }
             "--fail-fast" => opts.fail_fast = true,
-            "--oracle-selfcheck" => opts.checks.oracle = true,
             "--executed-selfcheck" => opts.checks.executed = true,
             "--optimal-selfcheck" => opts.checks.optimal = true,
             "--jobs" => {
@@ -422,8 +415,8 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("fuzz: {e}");
             eprintln!(
-                "usage: fuzz [--seeds A..B] [--fail-fast] [--jobs N] [--oracle-selfcheck] \
-                 [--executed-selfcheck] [--optimal-selfcheck] [--machines DIR]"
+                "usage: fuzz [--seeds A..B] [--fail-fast] [--jobs N] [--executed-selfcheck] \
+                 [--optimal-selfcheck] [--machines DIR]"
             );
             return ExitCode::from(2);
         }
@@ -552,27 +545,18 @@ mod tests {
     }
 
     #[test]
-    fn oracle_selfcheck_passes_on_seeded_cases() {
-        // The engines must agree bit-for-bit on a healthy case under every
-        // strategy — the same predicate `--oracle-selfcheck` sweeps.
-        let l = fuzz_loop("t", &SynthProfile::broad(), 11);
-        let m = MachineConfig::paper_default();
-        for strategy in Strategy::ALL {
-            let checks = Checks { oracle: true, ..Checks::default() };
-            assert!(run_case(&l, &m, strategy, checks).is_none(), "{strategy}");
-        }
-    }
-
-    #[test]
     fn executed_selfcheck_passes_on_seeded_cases() {
-        // The cycle-accurate executor must match the reference engine and
-        // sustain the scheduled II on a healthy case under every strategy
-        // — the same predicate `--executed-selfcheck` sweeps.
-        let l = fuzz_loop("t", &SynthProfile::broad(), 13);
+        // The fast engine and the cycle-accurate executor must match the
+        // reference engine bit for bit, and the executor sustain the
+        // scheduled II, on healthy cases under every strategy — the same
+        // predicate `--executed-selfcheck` sweeps.
         let m = MachineConfig::paper_default();
-        for strategy in Strategy::ALL {
-            let checks = Checks { executed: true, ..Checks::default() };
-            assert!(run_case(&l, &m, strategy, checks).is_none(), "{strategy}");
+        for seed in [11, 13] {
+            let l = fuzz_loop("t", &SynthProfile::broad(), seed);
+            for strategy in Strategy::ALL {
+                let checks = Checks { executed: true, ..Checks::default() };
+                assert!(run_case(&l, &m, strategy, checks).is_none(), "seed {seed} {strategy}");
+            }
         }
     }
 
@@ -588,7 +572,7 @@ mod tests {
             let l = fuzz_loop(&format!("t{seed}"), &profile, seed);
             saw_select |= l.ops.iter().any(|o| o.opcode.kind == sv_ir::OpKind::Select);
             for strategy in Strategy::ALL {
-                let checks = Checks { oracle: true, executed: true, ..Checks::default() };
+                let checks = Checks { executed: true, ..Checks::default() };
                 assert!(run_case(&l, &m, strategy, checks).is_none(), "seed {seed} {strategy}");
             }
         }

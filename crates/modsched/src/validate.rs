@@ -127,3 +127,70 @@ pub fn validate_schedule(
     }
     Ok(())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::modulo_schedule;
+    use sv_ir::{LoopBuilder, ScalarType};
+
+    fn compile_one(l: &Loop, m: &MachineConfig) -> (DepGraph, Schedule) {
+        let g = DepGraph::build(l);
+        let s = modulo_schedule(l, &g, m).unwrap();
+        (g, s)
+    }
+
+    fn sample_loop() -> Loop {
+        let mut b = LoopBuilder::new("sample");
+        let x = b.array("x", ScalarType::F64, 128);
+        let y = b.array("y", ScalarType::F64, 128);
+        let lx = b.load(x, 1, 0);
+        let ly = b.load(y, 1, 0);
+        let mu = b.fmul(lx, ly);
+        let s = b.fadd(mu, lx);
+        b.store(y, 1, 0, s);
+        b.finish()
+    }
+
+    #[test]
+    fn valid_schedules_validate() {
+        let l = sample_loop();
+        let m = MachineConfig::paper_default();
+        let (g, s) = compile_one(&l, &m);
+        validate_schedule(&l, &g, &m, &s).unwrap();
+    }
+
+    #[test]
+    fn corrupted_time_is_caught() {
+        let l = sample_loop();
+        let m = MachineConfig::paper_default();
+        let (g, mut s) = compile_one(&l, &m);
+        // Put the store before its producer.
+        s.times[4] = 0;
+        let r = validate_schedule(&l, &g, &m, &s);
+        assert!(matches!(r, Err(ValidationError::DependenceViolated { .. })), "{r:?}");
+    }
+
+    #[test]
+    fn corrupted_assignment_is_caught() {
+        let l = sample_loop();
+        let m = MachineConfig::paper_default();
+        let (g, mut s) = compile_one(&l, &m);
+        s.assignments[0].clear();
+        let r = validate_schedule(&l, &g, &m, &s);
+        assert!(matches!(r, Err(ValidationError::AssignmentMismatch { .. })));
+    }
+
+    #[test]
+    fn duplicated_reservation_is_caught() {
+        let l = sample_loop();
+        let m = MachineConfig::paper_default();
+        let (g, mut s) = compile_one(&l, &m);
+        // Double-book an op's first reservation: the same resource
+        // instance now claimed twice in the same cycle.
+        let dup = s.assignments[0][0];
+        s.assignments[0].push(dup);
+        let r = validate_schedule(&l, &g, &m, &s);
+        assert_eq!(r, Err(ValidationError::AssignmentMismatch { op: OpId(0) }));
+    }
+}

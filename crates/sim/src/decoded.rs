@@ -1,12 +1,11 @@
 //! The pre-decoded fast execution engine.
 //!
-//! Every public executor of this crate used to interpret [`Loop`]s
-//! directly: operands were re-resolved on every read, loop-carried values
-//! lived in unbounded per-op history vectors (in-order) or a
-//! `HashMap<(op, iteration), Value)>` (pipelined), and each lane read
-//! cloned a fresh `Vec<Scalar>`. That made the oracle — which the
-//! differential fuzzer runs tens of thousands of times per CI pass — the
-//! dominant cost of verification.
+//! The executors of this crate used to interpret [`Loop`]s directly:
+//! operands were re-resolved on every read, loop-carried values lived in
+//! unbounded per-op history vectors, and each lane read cloned a fresh
+//! `Vec<Scalar>`. That made the oracle — which the differential fuzzer
+//! runs tens of thousands of times per CI pass — the dominant cost of
+//! verification.
 //!
 //! [`DecodedLoop`] lowers a loop **once**:
 //!
@@ -15,10 +14,10 @@
 //!   constants fold to immediate [`Scalar`]s, induction-variable operands
 //!   precompute their per-lane step;
 //! * every op precomputes its produced lane count, its carried-init
-//!   scalar, and its ring-buffer *depth* — `1 + max loop-carried
-//!   distance` over all uses of its value (in-order execution), or the
-//!   exact overlap window measured from the launch sequence (pipelined
-//!   execution);
+//!   scalar, and its in-order ring-buffer *depth* — `1 + max
+//!   loop-carried distance` over all uses of its value (the schedule
+//!   executor in [`crate::sched_exec`] measures its own depths from the
+//!   launch order);
 //! * run-time state is one flat `Vec<Scalar>` ring arena (op `p`'s value
 //!   for iteration `t` lives at `base[p] + (t mod depth[p])·lanes[p]`)
 //!   plus a single reusable lane scratch buffer — the hot loop performs
@@ -27,9 +26,9 @@
 //! The **ring invariant**: a slot is only ever read at iteration
 //! distances `d < depth`, so the producer's iteration `t` value is intact
 //! until iteration `t + depth` overwrites it — by construction of the
-//! depths above. The original interpreters survive verbatim in
+//! depths above. The original interpreter survives verbatim in
 //! [`crate::reference`]; `crates/sim/tests/engine_equiv.rs` and the
-//! fuzzer's `--oracle-selfcheck` mode prove both engines byte-identical.
+//! fuzzer's `--executed-selfcheck` mode prove both engines byte-identical.
 
 use crate::interp::{apply_binary, apply_select, apply_unary, init_scalar, LiveOutValue};
 use crate::memory::{Memory, Scalar};
@@ -415,117 +414,6 @@ pub(crate) fn run_inorder(
         }
         let slot = pop.base as usize
             + ((count - 1) % u64::from(pop.depth)) as usize * pop.lanes as usize;
-        ring[slot + if pop.lanes == 1 { 0 } else { lane }]
-    })
-}
-
-/// Fast execution of an explicit `(iteration, op)` launch sequence with
-/// per-iteration value renaming — the decoded replacement for the
-/// `HashMap`-backed [`crate::reference::execute_instances`].
-///
-/// Ring depths are measured exactly from `seq` in one linear prescan: for
-/// every read of `(p, j − dist)`, the producer's depth must cover the
-/// newest `p`-iteration already launched, so the slot still holds the
-/// value the read names. Sequences produced by modulo schedules and flat
-/// layouts fire each op's iterations in increasing order; the prescan
-/// additionally guards out-of-order producer firings.
-///
-/// `iteration_private` arrays are renamed per in-flight iteration by the
-/// same construction applied to memory ([`crate::privrot::PrivRot`]):
-/// the dependence graph carries no cross-iteration edges on them, so an
-/// overlapped sequence may fire iteration `j+1`'s store into a comm slot
-/// before iteration `j`'s load — each iteration must observe its own
-/// copy.
-///
-/// # Panics
-///
-/// Panics when an instance reads a value that has not been produced — the
-/// sequence violates a dependence (same contract as the reference
-/// executor).
-pub(crate) fn run_sequence(
-    l: &Loop,
-    mem: &mut Memory,
-    seq: &[(u64, usize)],
-    iterations: u64,
-) -> Vec<LiveOutValue> {
-    let d = DecodedLoop::new(l);
-    let n = d.ops.len();
-
-    // Prescan: exact per-op ring depth for this launch order.
-    let mut depth = vec![1u64; n];
-    let mut latest = vec![i64::MIN; n];
-    for &(j, oi) in seq {
-        let op = &d.ops[oi];
-        for o in &d.operands[op.o_start as usize..op.o_end as usize] {
-            if let DOperand::Def { op: p, distance } = *o {
-                let p = p as usize;
-                let need = j as i64 - i64::from(distance);
-                if need >= 0 && latest[p] > need {
-                    depth[p] = depth[p].max((latest[p] - need + 1) as u64);
-                }
-            }
-        }
-        if op.defines {
-            if latest[oi] != i64::MIN && (j as i64) <= latest[oi] {
-                // Out-of-order (or duplicate) firing of the same op: keep
-                // every slot in the overlap window distinct.
-                depth[oi] = depth[oi].max((latest[oi] - j as i64 + 2) as u64);
-            }
-            latest[oi] = latest[oi].max(j as i64);
-        }
-    }
-    let mut bases = vec![0usize; n];
-    let mut ring_len = 0usize;
-    for (i, op) in d.ops.iter().enumerate() {
-        bases[i] = ring_len;
-        if op.defines {
-            ring_len += depth[i] as usize * op.lanes as usize;
-        }
-    }
-
-    let pr = crate::privrot::PrivRot::for_sequence(l, seq);
-    pr.widen(mem);
-
-    let mut ring = vec![Scalar::I(0); ring_len];
-    let mut scratch = vec![Scalar::I(0); d.max_lanes];
-    let mut produced_up_to = vec![i64::MIN; n];
-    for &(j, oi) in seq {
-        let op = &d.ops[oi];
-        let resolve = |p: usize, dist: u32| -> Option<usize> {
-            if u64::from(dist) > j {
-                return None;
-            }
-            let need = j - u64::from(dist);
-            assert!(
-                produced_up_to[p] >= need as i64,
-                "pipeline read before write: scheduler bug"
-            );
-            let rot = if depth[p] == 1 { 0 } else { (need % depth[p]) as usize };
-            Some(bases[p] + rot * d.ops[p].lanes as usize)
-        };
-        if exec_op(&d, op, j as i64, mem, &ring, &mut scratch, resolve, |a| pr.offset(a, j)) {
-            let ln = op.lanes as usize;
-            let slot = bases[oi] + (j % depth[oi]) as usize * ln;
-            if ln == 1 {
-                ring[slot] = scratch[0];
-            } else {
-                ring[slot..slot + ln].copy_from_slice(&scratch[..ln]);
-            }
-            produced_up_to[oi] = produced_up_to[oi].max(j as i64);
-        }
-    }
-    pr.restore(mem, iterations);
-    collect_liveouts(l, &d, |p, lane| {
-        let pop = &d.ops[p];
-        if iterations == 0 {
-            return pop.init;
-        }
-        let need = iterations - 1;
-        assert!(
-            produced_up_to[p] >= need as i64,
-            "pipeline read before write: scheduler bug"
-        );
-        let slot = bases[p] + (need % depth[p]) as usize * pop.lanes as usize;
         ring[slot + if pop.lanes == 1 { 0 } else { lane }]
     })
 }

@@ -10,21 +10,19 @@
 //! * [`run_source`] / [`run_compiled`] — whole-plan execution producing
 //!   final memory and live-out values, plus [`assert_equivalent`] which
 //!   compares a compiled plan against its source loop;
-//! * [`play_schedule`] / [`validate_schedule`] — a cycle-level
-//!   software-pipeline player that walks a modulo schedule with all
-//!   in-flight iterations, validating both dependence latencies and
-//!   per-cycle resource capacities, and producing the exact cycle count
-//!   the analytic timing model is cross-checked against;
-//! * [`execute_pipelined`] — functional execution of the schedule itself,
-//!   every operation instance at its issue cycle with registers renamed
-//!   per iteration;
-//! * [`execute_schedule`] — the cycle-accurate VLIW executor: runs the
-//!   emitted prologue/kernel/epilogue layout with interlock stalls,
-//!   per-class unit reservations and latency-tracked delivery, measuring
-//!   the real steady-state cycles per iteration
+//! * [`execute_schedule`] — the cycle-accurate VLIW executor and the
+//!   crate's one schedule oracle: runs the emitted prologue/kernel/epilogue
+//!   layout with interlock stalls, per-class unit reservations and
+//!   latency-tracked delivery, measuring total cycles and the real
+//!   steady-state cycles per iteration
 //!   ([`run_compiled_executed`] / [`executed_selfcheck`] /
 //!   [`compile_executed`] run whole compiled plans through it and prove
-//!   measured II == scheduled II against the reference engine).
+//!   measured II == scheduled II against the reference engine);
+//! * [`validate_schedule`] — structural schedule validation (dependence
+//!   latencies and per-row resource capacities), re-exported from
+//!   `sv-modsched`;
+//! * [`reference`] — the original in-order interpreter, kept as the
+//!   bit-exact semantic baseline for the fast engine and the executor.
 //!
 //! ```
 //! use sv_sim::{assert_equivalent, run_source};
@@ -49,21 +47,15 @@
 //! ```
 
 mod decoded;
-mod flat_exec;
 mod interp;
 mod memory;
-mod pipeline_exec;
-mod player;
 mod privrot;
 pub mod reference;
 mod run;
 mod sched_exec;
 
 pub use interp::{execute_loop, LiveOutValue};
-pub use flat_exec::execute_flat;
-pub use pipeline_exec::execute_pipelined;
 pub use memory::{Memory, Scalar};
-pub use player::{play_schedule, PlaybackError, PlaybackReport};
 pub use sched_exec::{execute_schedule, ExecError, ExecReport};
 // Structural schedule validation moved down into `sv-modsched` so the
 // `sv-core` driver can run it at pass boundaries; re-exported here for

@@ -23,7 +23,7 @@
 //! depth 1 and the whole mechanism is a no-op.
 
 use crate::memory::Memory;
-use sv_ir::{Loop, OpKind};
+use sv_ir::Loop;
 
 /// Measured renaming windows for one launch order of one loop.
 pub(crate) struct PrivRot {
@@ -62,19 +62,6 @@ impl PrivRot {
         let size = l.arrays.iter().map(|d| d.len as i64).collect();
         let active = depth.iter().any(|&d| d > 1);
         PrivRot { depth, size, active }
-    }
-
-    /// Measure from an `(iteration, op)` launch sequence (the flat and
-    /// pipelined executors' representation, where sequence order *is*
-    /// memory-access order).
-    pub(crate) fn for_sequence(l: &Loop, seq: &[(u64, usize)]) -> PrivRot {
-        Self::for_accesses(
-            l,
-            seq.iter().filter_map(|&(j, oi)| {
-                let op = &l.ops[oi];
-                op.mem.as_ref().map(|r| (j, r.array.0, op.opcode.kind == OpKind::Store))
-            }),
-        )
     }
 
     /// Extra element offset renaming an access to `array` at iteration
@@ -140,14 +127,24 @@ mod tests {
         l
     }
 
+    /// Two iterations overlapped: iteration 1's comm store fires before
+    /// iteration 0's comm load — the overlap the scheduler is allowed to
+    /// create. `(iteration, array, is_store)` in execution order.
+    const OVERLAPPED: [(u64, u32, bool); 8] = [
+        (0, 0, false),
+        (0, 1, true),
+        (1, 0, false),
+        (1, 1, true),
+        (0, 1, false),
+        (0, 0, true),
+        (1, 1, false),
+        (1, 0, true),
+    ];
+
     #[test]
-    fn overlapped_sequence_measures_a_window() {
+    fn overlapped_accesses_measure_a_window() {
         let l = comm_loop();
-        // Iteration 1's comm store fires before iteration 0's comm load:
-        // the overlap the scheduler is allowed to create.
-        let seq: Vec<(u64, usize)> =
-            vec![(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (0, 3), (1, 2), (1, 3)];
-        let pr = PrivRot::for_sequence(&l, &seq);
+        let pr = PrivRot::for_accesses(&l, OVERLAPPED.into_iter());
         assert_eq!(pr.offset(0, 5), 0, "non-private array never renames");
         assert_eq!(pr.offset(1, 0), 0);
         assert_eq!(pr.offset(1, 1), 4, "iteration 1 gets its own copy");
@@ -155,11 +152,12 @@ mod tests {
     }
 
     #[test]
-    fn in_order_sequence_is_identity() {
+    fn in_order_accesses_are_identity() {
         let l = comm_loop();
-        let seq: Vec<(u64, usize)> =
-            (0..4).flat_map(|j| (0..4).map(move |o| (j, o))).collect();
-        let pr = PrivRot::for_sequence(&l, &seq);
+        let pr = PrivRot::for_accesses(
+            &l,
+            (0..4).flat_map(|j| [(j, 0, false), (j, 1, true), (j, 1, false), (j, 0, true)]),
+        );
         assert!(!pr.active);
         assert_eq!(pr.offset(1, 3), 0);
     }
@@ -167,9 +165,7 @@ mod tests {
     #[test]
     fn widen_restore_roundtrip_keeps_final_copy() {
         let l = comm_loop();
-        let seq: Vec<(u64, usize)> =
-            vec![(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (0, 3), (1, 2), (1, 3)];
-        let pr = PrivRot::for_sequence(&l, &seq);
+        let pr = PrivRot::for_accesses(&l, OVERLAPPED.into_iter());
         let mut mem = Memory::for_arrays(&l.arrays);
         pr.widen(&mut mem);
         assert_eq!(mem.array(1).len(), 8);
@@ -179,35 +175,5 @@ mod tests {
         pr.restore(&mut mem, 2);
         assert_eq!(mem.array(1).len(), 4);
         assert_eq!(mem.read(1, 0).as_f64(), 11.0, "final iteration's copy survives");
-    }
-
-    /// The end-to-end regression: an overlapped launch order that reuses
-    /// a private comm slot across in-flight iterations must compute
-    /// exactly what in-order execution computes.
-    #[test]
-    fn overlapped_private_slots_match_in_order() {
-        let l = comm_loop();
-        let n = 16u64;
-        // Software-pipelined order, depth-2 overlap: iteration j+1's comm
-        // store fires before iteration j's comm load.
-        let mut seq: Vec<(u64, usize)> = vec![(0, 0), (0, 1)];
-        for j in 0..n - 1 {
-            seq.extend_from_slice(&[(j + 1, 0), (j + 1, 1), (j, 2), (j, 3)]);
-        }
-        seq.extend_from_slice(&[(n - 1, 2), (n - 1, 3)]);
-        let mut mem_seq = Memory::for_arrays(&l.arrays);
-        let mut mem_ord = mem_seq.clone();
-        let mut mem_ref = mem_seq.clone();
-        crate::decoded::run_sequence(&l, &mut mem_seq, &seq, n);
-        crate::decoded::run_inorder(&l, &mut mem_ord, 0..n);
-        crate::reference::execute_instances(&l, &mut mem_ref, &seq, n);
-        for a in 0..2u32 {
-            for (i, (x, y)) in mem_seq.array(a).iter().zip(mem_ord.array(a)).enumerate() {
-                assert!(x.identical(*y), "array {a}[{i}]: pipelined {x:?} vs in-order {y:?}");
-            }
-            for (i, (x, y)) in mem_ref.array(a).iter().zip(mem_ord.array(a)).enumerate() {
-                assert!(x.identical(*y), "array {a}[{i}]: reference {x:?} vs in-order {y:?}");
-            }
-        }
     }
 }

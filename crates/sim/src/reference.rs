@@ -1,29 +1,24 @@
-//! The original (slow) interpreters, retained verbatim as the reference
-//! semantics for the pre-decoded fast engine in [`crate::decoded`].
+//! The original (slow) in-order interpreter, retained verbatim as the
+//! reference semantics for the pre-decoded fast engine in
+//! [`crate::decoded`] and for the cycle-accurate schedule executor.
 //!
-//! Every executor here mirrors a fast-path entry point one-for-one:
-//!
-//! | reference                  | fast path                     |
-//! |----------------------------|-------------------------------|
-//! | [`execute_loop`]           | [`crate::execute_loop`]       |
-//! | [`execute_pipelined`]      | [`crate::execute_pipelined`]  |
-//! | [`execute_flat`]           | [`crate::execute_flat`]       |
-//! | [`run_source`]             | [`crate::run_source`]         |
-//! | [`run_compiled`]           | [`crate::run_compiled`]       |
+//! | reference        | checked against                                           |
+//! |------------------|-----------------------------------------------------------|
+//! | [`execute_loop`] | [`crate::execute_loop`], [`crate::execute_schedule`]      |
+//! | [`run_source`]   | [`crate::run_source`]                                     |
+//! | [`run_compiled`] | [`crate::run_compiled`], [`crate::run_compiled_executed`] |
 //!
 //! These paths are *not* dead weight: `crates/sim/tests/engine_equiv.rs`
-//! and the fuzzer's `--oracle-selfcheck` mode (see
-//! [`crate::oracle_selfcheck`]) execute both engines on every case and
-//! demand bit-identical live-outs and memory. Keep changes to this module
-//! semantic-free.
+//! and the fuzzer's `--executed-selfcheck` mode (see
+//! [`crate::oracle_selfcheck`] and [`crate::executed_selfcheck`]) execute
+//! both sides on every case and demand bit-identical live-outs and
+//! memory. Keep changes to this module semantic-free.
 
 use crate::interp::{apply_binary, apply_select, apply_unary, init_scalar, LiveOutValue, Value};
 use crate::memory::{Memory, Scalar};
 use crate::run::RunResult;
-use std::collections::HashMap;
 use sv_core::CompiledLoop;
 use sv_ir::{Loop, OpKind, Operand, Operation, VectorForm};
-use sv_modsched::{FlatListing, Schedule};
 
 struct Interp<'a> {
     l: &'a Loop,
@@ -231,203 +226,6 @@ pub fn execute_loop(
             LiveOutValue { name: lo.name.clone(), value, combine: lo.combine }
         })
         .collect()
-}
-
-/// Reference execution of an explicit `(iteration, op)` launch sequence —
-/// the original `HashMap<(op, iteration), Value>` implementation behind
-/// the pipelined and flat executors. `iteration_private` arrays are
-/// renamed per in-flight iteration ([`crate::privrot::PrivRot`]), exactly
-/// as in the fast engine's `run_sequence`.
-///
-/// # Panics
-///
-/// Panics when an instance reads a value that has not been produced — the
-/// sequence violates a dependence.
-pub(crate) fn execute_instances(
-    l: &Loop,
-    mem: &mut Memory,
-    seq: &[(u64, usize)],
-    iterations: u64,
-) -> Vec<LiveOutValue> {
-    let k = l.vector_width.max(1);
-    let pr = crate::privrot::PrivRot::for_sequence(l, seq);
-    pr.widen(mem);
-    let mut values: HashMap<(usize, u64), Value> = HashMap::new();
-    let read_def = |values: &HashMap<(usize, u64), Value>, p: usize, dist: u32, j: u64| {
-        if u64::from(dist) > j {
-            let o = &l.ops[p];
-            let init = init_scalar(o.carried_init, o.opcode.ty);
-            return match o.opcode.form {
-                VectorForm::Scalar => Value::S(init),
-                VectorForm::Vector => Value::V(vec![init; k as usize]),
-            };
-        }
-        values
-            .get(&(p, j - u64::from(dist)))
-            .expect("pipeline read before write: scheduler bug")
-            .clone()
-    };
-
-    for &(j, oi) in seq {
-        let op = &l.ops[oi];
-        let ty = op.opcode.ty;
-        let vector = op.opcode.form == VectorForm::Vector;
-        let operands: Vec<Value> = op
-            .operands
-            .iter()
-            .map(|o| match *o {
-                Operand::Def { op: p, distance } => read_def(&values, p.index(), distance, j),
-                Operand::LiveIn(id) => {
-                    let li = &l.live_ins[id.0 as usize];
-                    Value::S(Memory::live_in_value(&li.name, li.ty))
-                }
-                Operand::ConstI(v) => Value::S(Scalar::I(v)),
-                Operand::ConstF(v) => Value::S(Scalar::F(v)),
-                Operand::Iv { scale, offset } => {
-                    if vector {
-                        let step = scale / i64::from(l.iter_scale);
-                        Value::V(
-                            (0..i64::from(k))
-                                .map(|lane| Scalar::I(scale * j as i64 + offset + lane * step))
-                                .collect(),
-                        )
-                    } else {
-                        Value::S(Scalar::I(scale * j as i64 + offset))
-                    }
-                }
-            })
-            .collect();
-
-        let result: Option<Value> = match op.opcode.kind {
-            OpKind::Load => {
-                let r = op.mem_ref();
-                let base = r.stride * j as i64 + r.offset + pr.offset(r.array.0, j);
-                if vector {
-                    Some(Value::V(
-                        (0..r.width as i64)
-                            .map(|lane| mem.read(r.array.0, base + lane).coerce(ty))
-                            .collect(),
-                    ))
-                } else {
-                    Some(Value::S(mem.read(r.array.0, base).coerce(ty)))
-                }
-            }
-            OpKind::Store => {
-                let r = op.mem_ref();
-                let base = r.stride * j as i64 + r.offset + pr.offset(r.array.0, j);
-                if vector {
-                    for (lane, v) in operands[0].lanes(r.width as usize).into_iter().enumerate()
-                    {
-                        mem.write(r.array.0, base + lane as i64, v);
-                    }
-                } else {
-                    mem.write(r.array.0, base, operands[0].scalar());
-                }
-                None
-            }
-            OpKind::Pack => Some(Value::V(
-                operands.iter().map(|v| v.scalar().coerce(ty)).collect(),
-            )),
-            OpKind::Extract => {
-                let lane = operands[1].scalar().as_i64() as usize;
-                Some(Value::S(operands[0].lanes(k as usize)[lane]))
-            }
-            OpKind::Select => Some(if vector {
-                let c = operands[0].lanes(k as usize);
-                let a = operands[1].lanes(k as usize);
-                let b = operands[2].lanes(k as usize);
-                Value::V((0..k as usize).map(|j| apply_select(ty, c[j], a[j], b[j])).collect())
-            } else {
-                Value::S(apply_select(
-                    ty,
-                    operands[0].scalar(),
-                    operands[1].scalar(),
-                    operands[2].scalar(),
-                ))
-            }),
-            kind if kind.arity() == 2 => Some(if vector {
-                Value::V(
-                    operands[0]
-                        .lanes(k as usize)
-                        .into_iter()
-                        .zip(operands[1].lanes(k as usize))
-                        .map(|(a, b)| apply_binary(kind, ty, a, b))
-                        .collect(),
-                )
-            } else {
-                Value::S(apply_binary(kind, ty, operands[0].scalar(), operands[1].scalar()))
-            }),
-            kind => Some(if vector {
-                Value::V(
-                    operands[0]
-                        .lanes(k as usize)
-                        .into_iter()
-                        .map(|a| apply_unary(kind, ty, a))
-                        .collect(),
-                )
-            } else {
-                Value::S(apply_unary(kind, ty, operands[0].scalar()))
-            }),
-        };
-        if let Some(v) = result {
-            values.insert((oi, j), v);
-        }
-    }
-    pr.restore(mem, iterations);
-
-    l.live_outs
-        .iter()
-        .map(|lo| {
-            let v = if iterations == 0 {
-                read_def(&values, lo.op.index(), 1, 0)
-            } else {
-                read_def(&values, lo.op.index(), 0, iterations - 1)
-            };
-            let ty = l.ops[lo.op.index()].opcode.ty;
-            let value = match (&v, lo.horizontal) {
-                (Value::V(lanes), Some(kind)) => lanes
-                    .iter()
-                    .copied()
-                    .reduce(|a, b| apply_binary(kind, ty, a, b))
-                    .expect("non-empty lanes"),
-                (Value::V(lanes), None) => *lanes.last().expect("non-empty lanes"),
-                (Value::S(s), _) => *s,
-            };
-            LiveOutValue { name: lo.name.clone(), value, combine: lo.combine }
-        })
-        .collect()
-}
-
-/// Reference twin of [`crate::execute_pipelined`]: same launch sequence,
-/// executed by the `HashMap`-backed interpreter.
-///
-/// # Panics
-///
-/// Panics when `schedule` does not belong to `l` (length mismatch).
-pub fn execute_pipelined(
-    l: &Loop,
-    schedule: &Schedule,
-    mem: &mut Memory,
-    iterations: u64,
-) -> Vec<LiveOutValue> {
-    let seq = crate::pipeline_exec::pipeline_sequence(l, schedule, iterations);
-    execute_instances(l, mem, &seq, iterations)
-}
-
-/// Reference twin of [`crate::execute_flat`].
-///
-/// # Panics
-///
-/// Panics when `iterations < stage_count` or the layout launches an
-/// instance out of dependence order.
-pub fn execute_flat(
-    l: &Loop,
-    flat: &FlatListing,
-    mem: &mut Memory,
-    iterations: u64,
-) -> Vec<LiveOutValue> {
-    let seq = crate::flat_exec::flat_sequence(flat, iterations);
-    execute_instances(l, mem, &seq, iterations)
 }
 
 /// Reference twin of [`crate::run_source`].

@@ -76,12 +76,12 @@ pub fn run_compiled(c: &CompiledLoop) -> RunResult {
     run_compiled_with(c, execute_loop)
 }
 
-/// [`run_compiled`] parameterized by the in-order executor.
-pub(crate) fn run_compiled_with(c: &CompiledLoop, exec: ExecLoopFn) -> RunResult {
-    // Thread the maximal shared array prefix through all pieces: every
-    // piece's table extends a common base (source arrays plus any
-    // scalar-expansion temporaries); only transform-private communication
-    // slots sit past the prefix, and those are dead across pieces.
+/// The memory threaded through every piece of a compiled plan: the
+/// maximal shared array prefix. Every piece's table extends a common base
+/// (source arrays plus any scalar-expansion temporaries); only
+/// transform-private communication slots sit past the prefix, and those
+/// are dead across pieces. Returns the prefix length and its memory.
+fn shared_memory(c: &CompiledLoop) -> (usize, Memory) {
     let pieces_min = c
         .segments
         .iter()
@@ -99,7 +99,12 @@ pub(crate) fn run_compiled_with(c: &CompiledLoop, exec: ExecLoopFn) -> RunResult
         .find(|l| l.arrays.len() >= base_len)
         .map(|l| l.arrays[..base_len].to_vec())
         .unwrap_or_else(|| c.source.arrays.clone());
-    let mut global = Memory::for_arrays(&base_decls);
+    (base_len, Memory::for_arrays(&base_decls))
+}
+
+/// [`run_compiled`] parameterized by the in-order executor.
+pub(crate) fn run_compiled_with(c: &CompiledLoop, exec: ExecLoopFn) -> RunResult {
+    let (base_len, mut global) = shared_memory(c);
     let mut live_outs = BTreeMap::new();
 
     let run_piece =
@@ -167,24 +172,7 @@ pub fn run_compiled_executed(
     c: &CompiledLoop,
     m: &MachineConfig,
 ) -> Result<(RunResult, Vec<ExecutedPiece>), ExecError> {
-    let pieces_min = c
-        .segments
-        .iter()
-        .flat_map(|s| {
-            std::iter::once(s.looop.arrays.len())
-                .chain(s.cleanup.iter().map(|(cl, _)| cl.arrays.len()))
-        })
-        .min()
-        .unwrap_or(c.source.arrays.len());
-    let base_len = pieces_min.max(c.source.arrays.len());
-    let base_decls: Vec<sv_ir::ArrayDecl> = c
-        .segments
-        .iter()
-        .flat_map(|s| std::iter::once(&s.looop).chain(s.cleanup.iter().map(|(cl, _)| cl)))
-        .find(|l| l.arrays.len() >= base_len)
-        .map(|l| l.arrays[..base_len].to_vec())
-        .unwrap_or_else(|| c.source.arrays.clone());
-    let mut global = Memory::for_arrays(&base_decls);
+    let (base_len, mut global) = shared_memory(c);
     let mut live_outs = BTreeMap::new();
     let mut pieces: Vec<ExecutedPiece> = Vec::new();
 
@@ -259,7 +247,7 @@ pub fn executed_selfcheck(
 ) -> Result<Vec<ExecutedPiece>, String> {
     let (executed, pieces) =
         run_compiled_executed(c, m).map_err(|e| format!("executed: {e}"))?;
-    check_identical_runs("executed vs reference", &executed, &crate::reference::run_compiled(c))?;
+    check_identical_runs("executed", &executed, &crate::reference::run_compiled(c))?;
     for p in &pieces {
         if !p.report.steady_state_ok(p.scheduled_ii) {
             return Err(format!(
@@ -455,137 +443,77 @@ pub fn assert_equivalent(src: &Loop, compiled: &CompiledLoop) {
     }
 }
 
-/// Convenience: the scalar type never matters to callers, but keep the
-/// import used for doc examples.
-#[doc(hidden)]
-pub fn _ty() -> ScalarType {
-    ScalarType::F64
-}
-
 /// Compare two executions that claim identical semantics: every array
 /// element and every live-out must be [`Scalar::identical`] (bit-exact,
 /// NaN-aware) — no reassociation tolerance between two implementations of
-/// the same engine contract.
-fn check_identical_runs(label: &str, fast: &RunResult, reference: &RunResult) -> Result<(), String> {
-    if fast.memory.array_count() != reference.memory.array_count() {
+/// the same engine contract. `label` names the side checked against the
+/// reference in every message.
+fn check_identical_runs(label: &str, got: &RunResult, reference: &RunResult) -> Result<(), String> {
+    if got.memory.array_count() != reference.memory.array_count() {
         return Err(format!(
             "{label}: array count {} vs reference {}",
-            fast.memory.array_count(),
+            got.memory.array_count(),
             reference.memory.array_count()
         ));
     }
-    for i in 0..fast.memory.array_count() as u32 {
-        let (xa, xb) = (fast.memory.array(i), reference.memory.array(i));
+    for i in 0..got.memory.array_count() as u32 {
+        let (xa, xb) = (got.memory.array(i), reference.memory.array(i));
         if xa.len() != xb.len() {
-            return Err(format!("{label}: array {i} length {} vs {}", xa.len(), xb.len()));
+            return Err(format!(
+                "{label}: array {i} length {} vs reference {}",
+                xa.len(),
+                xb.len()
+            ));
         }
         for (e, (va, vb)) in xa.iter().zip(xb).enumerate() {
             if !va.identical(*vb) {
-                return Err(format!(
-                    "{label}: array {i}[{e}] fast {va:?} vs reference {vb:?}"
-                ));
+                return Err(format!("{label}: array {i}[{e}] {va:?} vs reference {vb:?}"));
             }
         }
     }
-    if fast.live_outs.keys().ne(reference.live_outs.keys()) {
+    if got.live_outs.keys().ne(reference.live_outs.keys()) {
         return Err(format!(
-            "{label}: live-out sets fast {:?} vs reference {:?}",
-            fast.live_outs.keys().collect::<Vec<_>>(),
+            "{label}: live-out sets {:?} vs reference {:?}",
+            got.live_outs.keys().collect::<Vec<_>>(),
             reference.live_outs.keys().collect::<Vec<_>>()
         ));
     }
-    for (name, va) in &fast.live_outs {
+    for (name, va) in &got.live_outs {
         let vb = reference.live_outs[name];
         if !va.identical(vb) {
-            return Err(format!(
-                "{label}: live-out {name} fast {va:?} vs reference {vb:?}"
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn check_identical_liveouts(
-    label: &str,
-    fast: &[LiveOutValue],
-    reference: &[LiveOutValue],
-) -> Result<(), String> {
-    if fast.len() != reference.len() {
-        return Err(format!(
-            "{label}: {} live-outs vs reference {}",
-            fast.len(),
-            reference.len()
-        ));
-    }
-    for (a, b) in fast.iter().zip(reference) {
-        if a.name != b.name || a.combine != b.combine || !a.value.identical(b.value) {
-            return Err(format!("{label}: live-out fast {a:?} vs reference {b:?}"));
-        }
-    }
-    Ok(())
-}
-
-fn check_identical_memories(label: &str, fast: &Memory, reference: &Memory) -> Result<(), String> {
-    for i in 0..fast.array_count() as u32 {
-        for (e, (va, vb)) in fast.array(i).iter().zip(reference.array(i)).enumerate() {
-            if !va.identical(*vb) {
-                return Err(format!(
-                    "{label}: array {i}[{e}] fast {va:?} vs reference {vb:?}"
-                ));
-            }
+            return Err(format!("{label}: live-out {name} {va:?} vs reference {vb:?}"));
         }
     }
     Ok(())
 }
 
 /// Differential self-check of the pre-decoded fast engine against the
-/// retained [`crate::reference`] interpreters, over every execution mode a
-/// compiled plan exercises:
+/// retained [`crate::reference`] interpreter, over both in-order
+/// execution modes a compiled plan exercises:
 ///
 /// 1. whole-run source execution ([`run_source`] both engines),
-/// 2. whole-plan compiled execution ([`run_compiled`] both engines),
-/// 3. per-segment pipelined execution of each modulo schedule,
-/// 4. per-segment flat prologue/kernel/epilogue execution (when the
-///    segment's trip covers a full pipeline).
+/// 2. whole-plan compiled execution ([`run_compiled`] both engines).
 ///
 /// Comparison is bit-exact ([`Scalar::identical`]) — the two engines
 /// implement the same semantics, so even last-bit float drift is a bug.
-/// Used by the fuzzer's `--oracle-selfcheck` mode.
+/// The schedules themselves are checked against the same reference by
+/// [`executed_selfcheck`]; the fuzzer's `--executed-selfcheck` mode runs
+/// both.
 ///
 /// # Errors
 ///
 /// Returns a description of the first divergence found.
 pub fn oracle_selfcheck(src: &Loop, compiled: &CompiledLoop) -> Result<(), String> {
-    check_identical_runs("run_source", &run_source(src), &crate::reference::run_source(src))?;
     check_identical_runs(
-        "run_compiled",
+        "fast run_source",
+        &run_source(src),
+        &crate::reference::run_source(src),
+    )?;
+    check_identical_runs(
+        "fast run_compiled",
         &run_compiled(compiled),
         &crate::reference::run_compiled(compiled),
-    )?;
-    for (si, seg) in compiled.segments.iter().enumerate() {
-        let n = seg.looop.executed_iterations();
-        let mut mem_fast = Memory::for_arrays(&seg.looop.arrays);
-        let mut mem_ref = mem_fast.clone();
-        let outs_fast =
-            crate::execute_pipelined(&seg.looop, &seg.schedule, &mut mem_fast, n);
-        let outs_ref =
-            crate::reference::execute_pipelined(&seg.looop, &seg.schedule, &mut mem_ref, n);
-        let label = format!("segment {si} pipelined");
-        check_identical_liveouts(&label, &outs_fast, &outs_ref)?;
-        check_identical_memories(&label, &mem_fast, &mem_ref)?;
-        if n >= u64::from(seg.schedule.stage_count) {
-            let flat = sv_modsched::emit_flat(&seg.looop, &seg.schedule);
-            let mut mem_fast = Memory::for_arrays(&seg.looop.arrays);
-            let mut mem_ref = mem_fast.clone();
-            let outs_fast = crate::execute_flat(&seg.looop, &flat, &mut mem_fast, n);
-            let outs_ref =
-                crate::reference::execute_flat(&seg.looop, &flat, &mut mem_ref, n);
-            let label = format!("segment {si} flat");
-            check_identical_liveouts(&label, &outs_fast, &outs_ref)?;
-            check_identical_memories(&label, &mem_fast, &mem_ref)?;
-        }
-    }
-    Ok(())
+    )
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
 //! The cycle-accurate VLIW executor: run the *scheduled code*, not just
 //! the loop semantics.
 //!
-//! Every other executor in this crate answers "does the transformed loop
-//! compute the right values?". This one answers the question the paper's
-//! tables hinge on: **does the scheduled code actually sustain the
-//! initiation interval the scheduler claims?** It consumes the flat
+//! The in-order executors in this crate answer "does the transformed
+//! loop compute the right values?". This one — the crate's only schedule
+//! executor — also answers the question the paper's tables hinge on:
+//! **does the scheduled code actually sustain the initiation interval the
+//! scheduler claims?** It consumes the flat
 //! prologue / kernel / epilogue layout ([`sv_modsched::emit_flat_for`])
 //! and executes it the way the VLIW machine would:
 //!
@@ -29,9 +30,8 @@
 //!   exactly as the scheduler reserved it;
 //! * **modulo variable expansion** — loop-carried values are renamed per
 //!   iteration in ring buffers whose depths are measured from the actual
-//!   launch order (the same prescan the flat functional executor uses),
-//!   so the three sections' different `iteration_offset` encodings all
-//!   resolve to the right register copy.
+//!   launch order in one linear prescan, so the three sections' different
+//!   `iteration_offset` encodings all resolve to the right register copy.
 //!
 //! The measured steady state is reported per section:
 //! [`ExecReport::kernel_cycles`] over [`ExecReport::kernel_executions`]
@@ -231,8 +231,10 @@ fn build_plan(flat: &FlatListing, n: u64) -> Vec<PlanRow> {
 ///
 /// # Panics
 ///
-/// Panics when `flat` does not fit `l` or the trip count (same contracts
-/// as [`crate::execute_flat`]).
+/// Panics when `flat` does not fit `l` or the trip count: a general
+/// layout needs at least `stage_count` iterations, and a truncated one
+/// ([`sv_modsched::emit_flat_for`] with `n < SC`) exactly the trip it was
+/// emitted for.
 pub fn execute_schedule(
     l: &sv_ir::Loop,
     m: &MachineConfig,
@@ -253,9 +255,10 @@ pub fn execute_schedule(
     let pool = m.resource_pool();
     let n_classes = ResourceClass::ALL.len();
 
-    // Ring depths measured from the actual launch order — the same
-    // prescan as `decoded::run_sequence`, so carried state is renamed
-    // (modulo variable expansion) exactly deep enough for this layout.
+    // Ring depths measured from the actual launch order: for every read
+    // of `(p, j − dist)` the producer's depth must cover the newest
+    // `p`-iteration already launched, so carried state is renamed (modulo
+    // variable expansion) exactly deep enough for this layout.
     let mut depth = vec![1u64; nops];
     {
         let mut latest = vec![i64::MIN; nops];

@@ -13,13 +13,14 @@
 //! Two hundred seeded random loops sweep the generator's distribution
 //! profiles across all seven strategies and three registry machines; the
 //! benchmark suites pin the hand-written kernels; a separate property
-//! test holds `play_schedule` to its documented "analytic count within
-//! one II of exact" claim over the whole machine registry.
+//! test holds the executor's measured total cycles to the timing model —
+//! exactly `(n − 1)·II + length`, with the analytic `(n + SC − 1)·II`
+//! within one II of it — over the whole machine registry.
 
 use std::path::Path;
 use sv_core::{DriverConfig, Strategy};
 use sv_machine::{MachineConfig, MachineRegistry};
-use sv_sim::{compile_executed, executed_selfcheck, play_schedule};
+use sv_sim::{compile_executed, execute_schedule, executed_selfcheck, Memory};
 use sv_workloads::{synth_loop, SynthProfile};
 
 /// The builtin pair plus one spec-file machine: scheduling behaviour
@@ -208,9 +209,10 @@ fn suite_pressure_never_exceeds_maxlive_across_registry() {
 
 #[test]
 fn analytic_cycles_within_one_ii_over_registry() {
-    // `PlaybackReport::analytic_cycles` documents `(n + SC − 1)·II` as
-    // "always within one II of the exact count". Hold that claim over
-    // every registry machine × a spread of suite loops and trips.
+    // The executed total must be exactly `(n − 1)·II + length`, and the
+    // analytic model `(n + SC − 1)·II` always within one II of it. Hold
+    // both over every registry machine × a spread of suite loops and
+    // trips.
     let machines = registry_machines();
     let suites = sv_workloads::all_benchmarks();
     let mut checked = 0u32;
@@ -220,22 +222,29 @@ fn analytic_cycles_within_one_ii_over_registry() {
                 let g = sv_analysis::DepGraph::build(l);
                 let Ok(s) = sv_modsched::modulo_schedule(l, &g, m) else { continue };
                 for n in [1u64, 2, u64::from(s.stage_count), l.trip.count.max(1)] {
-                    let r = play_schedule(l, m, &s, n)
+                    let flat = sv_modsched::emit_flat_for(l, &s, n);
+                    let mut mem = Memory::for_arrays(&l.arrays);
+                    let (_, r) = execute_schedule(l, m, &flat, &mut mem, 0..n)
                         .unwrap_or_else(|e| panic!("{}/{mname}: {e}", l.name));
+                    let ii = u64::from(s.ii);
+                    assert_eq!(
+                        r.total_cycles,
+                        (n - 1) * ii + u64::from(s.length),
+                        "{}/{mname} n={n}: executed total vs (n-1)·II + length",
+                        l.name
+                    );
+                    let analytic = (n + u64::from(s.stage_count) - 1) * ii;
                     assert!(
-                        r.analytic_cycles >= r.total_cycles,
-                        "{}/{mname} n={n}: analytic {} < exact {}",
+                        analytic >= r.total_cycles,
+                        "{}/{mname} n={n}: analytic {analytic} < exact {}",
                         l.name,
-                        r.analytic_cycles,
                         r.total_cycles
                     );
                     assert!(
-                        r.analytic_cycles - r.total_cycles < u64::from(s.ii),
-                        "{}/{mname} n={n}: analytic {} drifts a full II from exact {} (II {})",
+                        analytic - r.total_cycles < ii,
+                        "{}/{mname} n={n}: analytic {analytic} drifts a full II from exact {} (II {ii})",
                         l.name,
-                        r.analytic_cycles,
-                        r.total_cycles,
-                        s.ii
+                        r.total_cycles
                     );
                     checked += 1;
                 }

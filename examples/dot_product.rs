@@ -9,7 +9,8 @@
 use selvec::analysis::DepGraph;
 use selvec::core::{compile, Strategy};
 use selvec::machine::MachineConfig;
-use selvec::sim::{play_schedule, validate_schedule};
+use selvec::modsched::emit_flat_for;
+use selvec::sim::{execute_schedule, validate_schedule, Memory};
 use selvec::workloads::figure1_dot_product;
 
 fn main() {
@@ -42,14 +43,18 @@ fn main() {
                     .collect();
                 println!("  row {row}: {}", ops.join("  "));
             }
-            // Re-validate and play the pipeline for 1000 iterations.
+            // Re-validate, then run the emitted code cycle by cycle.
             let g = DepGraph::build(&seg.looop);
             validate_schedule(&seg.looop, &g, &machine, s).expect("valid schedule");
             let n = seg.looop.executed_iterations();
-            let report = play_schedule(&seg.looop, &machine, s, n).expect("playable schedule");
+            let flat = emit_flat_for(&seg.looop, s, n);
+            let mut mem = Memory::for_arrays(&seg.looop.arrays);
+            let (_, report) = execute_schedule(&seg.looop, &machine, &flat, &mut mem, 0..n)
+                .expect("executable schedule");
             println!(
-                "  {n} iterations: {} cycles exact, {} analytic, {} in flight at peak",
-                report.total_cycles, report.analytic_cycles, report.peak_inflight
+                "  {n} iterations: {} cycles measured, measured II {}",
+                report.total_cycles,
+                report.measured_ii().map_or_else(|| "-".into(), |ii| format!("{ii:.2}"))
             );
         }
         println!();

@@ -11,8 +11,8 @@ use selvec::analysis::{vectorizable_ops, DepGraph};
 use selvec::core::{partition_ops, SelectiveConfig};
 use selvec::ir::RegClass;
 use selvec::machine::MachineConfig;
-use selvec::modsched::{allocate_rotating, emit_flat, modulo_schedule};
-use selvec::sim::{execute_pipelined, run_source, Memory};
+use selvec::modsched::{allocate_rotating, emit_flat, emit_flat_for, modulo_schedule};
+use selvec::sim::{execute_schedule, run_source, Memory};
 use selvec::vectorize::transform;
 use selvec::workloads::figure1_dot_product;
 
@@ -71,18 +71,26 @@ fn main() {
     println!("── 8. execution ───────────────────────────────────────────");
     let n = t.looop.executed_iterations();
     let mut mem = Memory::for_arrays(&t.looop.arrays);
-    let outs = execute_pipelined(&t.looop, &sched, &mut mem, n);
+    let flat = emit_flat_for(&t.looop, &sched, n);
+    let (outs, report) =
+        execute_schedule(&t.looop, &machine, &flat, &mut mem, 0..n).expect("executable schedule");
     let reference = run_source(&looop);
     for o in &outs {
         let want = reference.live_outs[&o.name];
         println!(
-            "  pipelined {} = {:.6}  (in-order source: {:.6}) {}",
+            "  executed {} = {:.6}  (in-order source: {:.6}) {}",
             o.name,
             o.value.as_f64(),
             want.as_f64(),
             if o.value.approx_eq(want) { "✓" } else { "✗" }
         );
     }
+    println!(
+        "  {} cycles measured, measured II {} (scheduled {})",
+        report.total_cycles,
+        report.measured_ii().map_or_else(|| "-".into(), |ii| format!("{ii:.2}")),
+        sched.ii
+    );
     println!(
         "\n{} pipelined iterations, {} remainder for the cleanup loop",
         n,

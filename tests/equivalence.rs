@@ -6,9 +6,9 @@ use selvec::analysis::DepGraph;
 use selvec::core::parallel::{default_jobs, run_ordered};
 use selvec::core::{compile, Strategy};
 use selvec::machine::MachineConfig;
-use selvec::modsched::emit_flat;
+use selvec::modsched::emit_flat_for;
 use selvec::sim::{
-    assert_equivalent, execute_flat, execute_loop, execute_pipelined,
+    assert_equivalent, execute_loop, execute_schedule, executed_selfcheck,
     has_register_state_across_cleanup, validate_schedule, Memory,
 };
 use selvec::workloads::all_benchmarks;
@@ -87,49 +87,30 @@ fn all_workload_schedules_validate() {
     });
 }
 
-/// Execute every selective-compiled segment *as a pipeline* (each op
-/// instance at its issue cycle, registers renamed per iteration, memory
-/// touched in pipeline order) and require the same result as in-order
-/// execution. This catches scheduler reorderings that structural
-/// validation alone would miss.
+/// Execute every modulo-only and selective plan *as scheduled code* on
+/// the cycle-accurate executor (each row in its cycle, registers renamed
+/// per iteration, memory touched in pipeline order) and require the
+/// reference engine's result bit for bit at the scheduled II. This
+/// catches scheduler reorderings that structural validation alone would
+/// miss.
 #[test]
 fn pipelined_execution_matches_in_order_execution() {
     let machine = MachineConfig::paper_default();
     let loops = all_clamped_loops();
-    run_ordered(&loops, default_jobs(), |_, src| {
+    let counts = run_ordered(&loops, default_jobs(), |_, src| {
         let mut l = src.clone();
         l.trip.count = l.trip.count.clamp(8, 64);
+        let mut checked = 0u32;
         for strategy in [Strategy::ModuloOnly, Strategy::Selective] {
             let compiled = compile(&l, &machine, strategy).unwrap();
-            for seg in &compiled.segments {
-                let n = seg.looop.executed_iterations();
-                let mut mem_a = Memory::for_arrays(&seg.looop.arrays);
-                let mut mem_b = mem_a.clone();
-                let outs_a = execute_loop(&seg.looop, &mut mem_a, 0..n);
-                let outs_b =
-                    execute_pipelined(&seg.looop, &seg.schedule, &mut mem_b, n);
-                for i in 0..seg.looop.arrays.len() as u32 {
-                    for (e, (va, vb)) in
-                        mem_a.array(i).iter().zip(mem_b.array(i)).enumerate()
-                    {
-                        assert!(
-                            va.approx_eq(*vb),
-                            "{} under {strategy}: array {i}[{e}]",
-                            seg.looop.name
-                        );
-                    }
-                }
-                for (a, b) in outs_a.iter().zip(&outs_b) {
-                    assert!(
-                        a.value.approx_eq(b.value),
-                        "{} under {strategy}: live-out {}",
-                        seg.looop.name,
-                        a.name
-                    );
-                }
-            }
+            executed_selfcheck(&compiled, &machine)
+                .unwrap_or_else(|e| panic!("{} under {strategy}: {e}", l.name));
+            checked += 1;
         }
+        checked
     });
+    // 377 loops × 2 strategies.
+    assert_eq!(counts.iter().sum::<u32>(), 377 * 2);
 }
 
 /// The emitted flat prologue/kernel/epilogue layout, executed as written,
@@ -143,12 +124,15 @@ fn flat_layouts_execute_correctly() {
             let l = clamped(src);
             let compiled = compile(&l, &machine, Strategy::Selective).unwrap();
             for seg in &compiled.segments {
-                let flat = emit_flat(&seg.looop, &seg.schedule);
-                let n = u64::from(flat.stage_count) + 13;
+                let n = u64::from(seg.schedule.stage_count) + 13;
+                let flat = emit_flat_for(&seg.looop, &seg.schedule, n);
                 let mut mem_a = Memory::for_arrays(&seg.looop.arrays);
                 let mut mem_b = mem_a.clone();
                 execute_loop(&seg.looop, &mut mem_a, 0..n);
-                execute_flat(&seg.looop, &flat, &mut mem_b, n);
+                let (_, report) =
+                    execute_schedule(&seg.looop, &machine, &flat, &mut mem_b, 0..n)
+                        .unwrap_or_else(|e| panic!("{}: {e}", seg.looop.name));
+                assert!(report.steady_state_ok(seg.schedule.ii), "{}", seg.looop.name);
                 for i in 0..seg.looop.arrays.len() as u32 {
                     for (e, (va, vb)) in
                         mem_a.array(i).iter().zip(mem_b.array(i)).enumerate()

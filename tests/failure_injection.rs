@@ -9,7 +9,7 @@ use selvec::core::{
 use selvec::ir::{LoopBuilder, OpKind, Operand, ScalarType};
 use selvec::machine::MachineConfig;
 use selvec::sim::{
-    execute_loop, execute_pipelined, validate_schedule, Memory, ValidationError,
+    execute_loop, execute_schedule, validate_schedule, ExecError, Memory, ValidationError,
 };
 use selvec::vectorize::{transform, try_transform, TransformError};
 
@@ -193,8 +193,8 @@ fn corrupted_operand_changes_the_functional_result() {
 #[test]
 fn pipelined_executor_detects_premature_reads() {
     // Corrupt a schedule so the store issues in cycle 0, before the value
-    // it stores exists: the pipelined executor panics rather than
-    // fabricating a value.
+    // it stores exists: the schedule executor returns a typed error rather
+    // than fabricating a value.
     let m = MachineConfig::paper_default();
     let mut b = LoopBuilder::new("carrybreak");
     let x = b.array("x", ScalarType::F64, 64);
@@ -212,11 +212,16 @@ fn pipelined_executor_detects_premature_reads() {
     assert!(sched.times[add.index()] > 0, "the add waits for the load");
     let mut sched_wrong = sched.clone();
     sched_wrong.times[st.index()] = 0;
+    let flat = selvec::modsched::emit_flat_for(&l2, &sched_wrong, 16);
     let mut mem = Memory::for_arrays(&l2.arrays);
-    let result = std::panic::catch_unwind(move || {
-        execute_pipelined(&l2, &sched_wrong, &mut mem, 16)
-    });
-    assert!(result.is_err(), "premature read must panic");
+    let result = execute_schedule(&l2, &m, &flat, &mut mem, 0..16);
+    assert!(
+        matches!(
+            result,
+            Err(ExecError::ReadBeforeWrite { op: 2, iteration: 0, cycle: 0, .. })
+        ),
+        "premature read must be a typed error, got {result:?}"
+    );
 }
 
 #[test]
