@@ -59,6 +59,7 @@ use crate::proto::{
     ServeError,
 };
 use crate::service::ServeService;
+use crate::wire::write_line;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -287,6 +288,28 @@ pub struct QueueStats {
     pub drainer_restarts: u64,
     /// In-flight items the supervisor re-queued after drainer deaths.
     pub requeued: u64,
+}
+
+impl QueueStats {
+    /// The counters `"submitted"` … `"requeued"` as JSON object members,
+    /// shared by the `stats` and `metrics` renderings. `responses`
+    /// includes the response being rendered, which is not yet counted.
+    fn counters_json(&self) -> String {
+        format!(
+            "\"submitted\":{},\"rejected\":{},\"deadline_rejected\":{},\"compiles\":{},\
+             \"flushes\":{},\"responses\":{},\"panics_isolated\":{},\"drainer_restarts\":{},\
+             \"requeued\":{}",
+            self.submitted,
+            self.rejected,
+            self.deadline_rejected,
+            self.compiles,
+            self.flushes,
+            self.responses + 1,
+            self.panics_isolated,
+            self.drainer_restarts,
+            self.requeued,
+        )
+    }
 }
 
 struct Inner {
@@ -713,12 +736,8 @@ fn next_action(inner: &Inner) -> Action {
 /// (answered, will not be).
 fn respond_and_retire(inner: &Inner, out: &Sink, expect_id: u64, line: &str) {
     let mut ledger = lock_recover(&inner.in_flight);
-    {
-        let mut w = lock_recover(out);
-        // A dead sink (client hung up) only loses that client's response.
-        let _ = writeln!(w, "{line}");
-        let _ = w.flush();
-    }
+    // A dead sink (client hung up) only loses that client's response.
+    let _ = write_line(&mut *lock_recover(out), line);
     let retired = ledger.pop_front().expect("responding to an item not in the ledger");
     debug_assert_eq!(retired.work.id(), expect_id, "ledger order must match response order");
     inner.lat.total.record_ns(retired.submitted.elapsed().as_nanos() as u64);
@@ -832,23 +851,10 @@ fn drain(inner: &Inner) {
                 );
             }
             Action::Stats { id, out } => {
-                let qs = inner.stats();
                 let result = format!(
-                    "{{\"cache\":{},\"queue\":{{\"submitted\":{},\"rejected\":{},\
-                     \"deadline_rejected\":{},\"compiles\":{},\"flushes\":{},\
-                     \"responses\":{},\"panics_isolated\":{},\"drainer_restarts\":{},\
-                     \"requeued\":{}}}}}",
+                    "{{\"cache\":{},\"queue\":{{{}}}}}",
                     inner.svc.stats_object(),
-                    qs.submitted,
-                    qs.rejected,
-                    qs.deadline_rejected,
-                    qs.compiles,
-                    qs.flushes,
-                    // The response being built is not yet counted.
-                    qs.responses + 1,
-                    qs.panics_isolated,
-                    qs.drainer_restarts,
-                    qs.requeued,
+                    inner.stats().counters_json()
                 );
                 respond_and_retire(inner, &out, id, &ok_response(id, &result));
             }
@@ -884,21 +890,9 @@ fn metrics_object(inner: &Inner) -> String {
     };
     format!(
         "{{\"queue\":{{\"depth\":{depth},\"weight\":{weight},\"in_flight\":{ledger},\
-         \"clients\":{clients},\"batch_occupancy\":{occupancy:.4},\"submitted\":{},\
-         \"rejected\":{},\"deadline_rejected\":{},\"compiles\":{},\"flushes\":{},\
-         \"responses\":{},\"panics_isolated\":{},\"drainer_restarts\":{},\
-         \"requeued\":{}}},\"cache\":{},\"shards\":{},\"faults\":{faults},\
-         \"latency\":{}}}",
-        qs.submitted,
-        qs.rejected,
-        qs.deadline_rejected,
-        qs.compiles,
-        qs.flushes,
-        // The response being built is not yet counted.
-        qs.responses + 1,
-        qs.panics_isolated,
-        qs.drainer_restarts,
-        qs.requeued,
+         \"clients\":{clients},\"batch_occupancy\":{occupancy:.4},{}}},\"cache\":{},\
+         \"shards\":{},\"faults\":{faults},\"latency\":{}}}",
+        qs.counters_json(),
         inner.svc.stats_object(),
         crate::metrics::shards_json(&inner.svc.shard_stats()),
         inner.lat.to_json(),
@@ -949,9 +943,7 @@ fn fail_pending(inner: &Inner, reason: &str) {
     inner.cv.notify_all();
     for item in items {
         let e = ServeError::Internal { message: reason.to_string() };
-        let mut w = lock_recover(&item.out);
-        let _ = writeln!(w, "{}", error_response(item.work.id(), &e));
-        let _ = w.flush();
+        let _ = write_line(&mut *lock_recover(&item.out), &error_response(item.work.id(), &e));
         inner.responses.fetch_add(1, Ordering::Relaxed);
     }
 }

@@ -5,7 +5,9 @@
 //! multi-client accept loop: every connection gets its own weighted-fair
 //! client identity, bounded by `--max-clients`). Every request flows
 //! through the bounded batching queue onto the deterministic worker
-//! pool, fronted by the two-tier compilation cache.
+//! pool, fronted by the two-tier compilation cache. A request line over
+//! `sv_serve::MAX_LINE_BYTES` (1 MiB) gets a typed `bad_request` and ends
+//! its connection (on stdio, the input).
 //!
 //! ```text
 //! svd [--tcp ADDR] [--max-clients N] [--port-file PATH]
@@ -17,8 +19,9 @@
 //! `--route A,B,...` turns this process into a **router** over N running
 //! `svd --tcp` shards instead of a compile server: each request is
 //! forwarded to the shard keyed by its v2 canonical request key, with
-//! per-shard health checks and typed failover (`--tcp` required; the
-//! cache/queue flags are ignored in router mode).
+//! per-shard health checks and typed failover (`--tcp` required;
+//! `--max-clients` bounds the router's client connections as it does a
+//! server's; the cache/queue flags are ignored in router mode).
 //!
 //! `--port-file PATH` writes the bound address (e.g. `127.0.0.1:40213`)
 //! to `PATH` after listening starts — ephemeral-port scripting for ci.
@@ -55,15 +58,15 @@ use std::sync::{Arc, Mutex};
 use sv_core::CacheConfig;
 use sv_machine::MachineRegistry;
 use sv_serve::{
-    serve_lines, BatchConfig, Batcher, FaultConfig, FaultPlan, Router, RouterConfig, Server,
-    ServeService, ServerConfig, Sink,
+    serve_lines, BatchConfig, Batcher, FaultConfig, FaultPlan, Router, ServeService, Server, Sink,
+    DEFAULT_MAX_CLIENTS,
 };
 
 struct Options {
     tcp: Option<String>,
     route: Option<Vec<String>>,
     port_file: Option<PathBuf>,
-    server: ServerConfig,
+    max_clients: usize,
     batch: BatchConfig,
     cache: CacheConfig,
     machines_dir: Option<PathBuf>,
@@ -76,7 +79,9 @@ fn usage() -> ! {
         "usage: svd [--tcp ADDR] [--max-clients N] [--port-file PATH] \
          [--route ADDR,ADDR,...] [--jobs N] [--batch-max N] [--flush-ms N] \
          [--queue-cap N] [--mem-entries N] [--mem-bytes N] [--disk DIR] \
-         [--machines DIR] [--faults SPEC] [--fault-seed N]"
+         [--machines DIR] [--faults SPEC] [--fault-seed N]\n\
+         --route makes a router over the listed shards; --max-clients bounds \
+         client connections in both modes"
     );
     std::process::exit(2)
 }
@@ -86,7 +91,7 @@ fn parse_args() -> Options {
         tcp: None,
         route: None,
         port_file: None,
-        server: ServerConfig::default(),
+        max_clients: DEFAULT_MAX_CLIENTS,
         batch: BatchConfig { jobs: sv_core::parallel::default_jobs(), ..BatchConfig::default() },
         cache: CacheConfig::default(),
         machines_dir: None,
@@ -115,9 +120,7 @@ fn parse_args() -> Options {
                 )
             }
             "--port-file" => opts.port_file = Some(PathBuf::from(val("--port-file"))),
-            "--max-clients" => {
-                opts.server.max_clients = num("--max-clients", val("--max-clients")).max(1)
-            }
+            "--max-clients" => opts.max_clients = num("--max-clients", val("--max-clients")).max(1),
             "--jobs" => opts.batch.jobs = num("--jobs", val("--jobs")).max(1),
             "--batch-max" => opts.batch.batch_max = num("--batch-max", val("--batch-max")).max(1),
             "--flush-ms" => opts.batch.flush_ms = num("--flush-ms", val("--flush-ms")) as u64,
@@ -167,12 +170,12 @@ fn serve_stdio(batcher: Batcher) -> Result<(), sv_serve::ServeError> {
 fn serve_tcp(
     addr: &str,
     port_file: Option<&PathBuf>,
-    cfg: ServerConfig,
+    max_clients: usize,
     batcher: Batcher,
 ) -> std::io::Result<()> {
     let listener = bind_and_announce(addr, port_file)?;
     let batcher = Arc::new(batcher);
-    Server::new(Arc::clone(&batcher), cfg).serve(listener)?;
+    Server::new(Arc::clone(&batcher), max_clients).serve(listener)?;
     match Arc::try_unwrap(batcher) {
         Ok(b) => b.join().map_err(|e| std::io::Error::other(e.to_string())),
         Err(_) => unreachable!("all connection threads joined"),
@@ -184,9 +187,10 @@ fn serve_router(
     port_file: Option<&PathBuf>,
     shards: Vec<String>,
     registry: MachineRegistry,
+    max_clients: usize,
 ) -> std::io::Result<()> {
     let listener = bind_and_announce(addr, port_file)?;
-    let router = Router::new(shards, registry, RouterConfig::default());
+    let router = Router::new(shards, registry, max_clients);
     let up = router.health_check();
     eprintln!(
         "svd: routing to {} shard(s), {} healthy: {}",
@@ -214,7 +218,8 @@ fn main() -> ExitCode {
             eprintln!("svd: --route needs --tcp ADDR to listen on");
             return ExitCode::FAILURE;
         };
-        return match serve_router(addr, opts.port_file.as_ref(), shards, registry) {
+        return match serve_router(addr, opts.port_file.as_ref(), shards, registry, opts.max_clients)
+        {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("svd: router failed: {e}");
@@ -245,7 +250,7 @@ fn main() -> ExitCode {
     let batcher = Batcher::with_faults(svc, opts.batch, plan);
     let outcome = match opts.tcp {
         None => serve_stdio(batcher).map_err(|e| std::io::Error::other(e.to_string())),
-        Some(addr) => serve_tcp(&addr, opts.port_file.as_ref(), opts.server, batcher),
+        Some(addr) => serve_tcp(&addr, opts.port_file.as_ref(), opts.max_clients, batcher),
     };
     if let Err(e) = outcome {
         eprintln!("svd: server failed: {e}");

@@ -33,8 +33,8 @@ use crate::batch::{Batcher, Sink};
 use crate::faults::FaultPlan;
 use crate::json;
 use crate::proto::{error_response, parse_request};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use crate::wire::Upstream;
+use std::io::Write;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use sv_workloads::SmallRng;
@@ -78,17 +78,6 @@ pub struct RetryStats {
     pub give_ups: u64,
 }
 
-/// Why a transport round trip failed.
-#[derive(Debug)]
-pub enum TransportError {
-    /// The connection died (or the response was dropped); a fresh
-    /// attempt may succeed — retryable.
-    Drop(String),
-    /// The transport cannot make progress at all (bad address, protocol
-    /// violation); retrying is pointless.
-    Fatal(String),
-}
-
 /// Why a [`RetryClient::call`] gave no response line.
 #[derive(Debug)]
 pub enum ClientError {
@@ -100,18 +89,12 @@ pub enum ClientError {
         /// The last transient failure, for the log.
         last: String,
     },
-    /// The transport failed fatally.
-    Fatal(String),
 }
 
 impl std::fmt::Display for ClientError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClientError::GiveUp { attempts, last } => {
-                write!(f, "gave up after {attempts} attempts (last: {last})")
-            }
-            ClientError::Fatal(m) => write!(f, "transport failed: {m}"),
-        }
+        let ClientError::GiveUp { attempts, last } = self;
+        write!(f, "gave up after {attempts} attempts (last: {last})")
     }
 }
 
@@ -124,9 +107,9 @@ pub trait Transport {
     ///
     /// # Errors
     ///
-    /// [`TransportError::Drop`] for retryable connection-level failures,
-    /// [`TransportError::Fatal`] otherwise.
-    fn call(&mut self, line: &str) -> Result<String, TransportError>;
+    /// Why the connection dropped (or the response was lost); a fresh
+    /// attempt may succeed, so the retry client retries it.
+    fn call(&mut self, line: &str) -> Result<String, String>;
 }
 
 /// Whether a response line is a server-side *transient* rejection the
@@ -185,8 +168,7 @@ impl<T: Transport> RetryClient<T> {
     /// # Errors
     ///
     /// [`ClientError::GiveUp`] when transient failures outlast the retry
-    /// budget or the deadline; [`ClientError::Fatal`] for unretryable
-    /// transport failures.
+    /// budget or the deadline.
     pub fn call(
         &mut self,
         line: &str,
@@ -202,11 +184,7 @@ impl<T: Transport> RetryClient<T> {
                     (format!("server overloaded: {response}"), hint)
                 }
                 Ok(response) => return Ok(response),
-                Err(TransportError::Drop(m)) => (format!("connection dropped: {m}"), None),
-                Err(TransportError::Fatal(m)) => {
-                    self.stats.give_ups += 1;
-                    return Err(ClientError::Fatal(m));
-                }
+                Err(m) => (format!("connection dropped: {m}"), None),
             };
             if attempts > self.policy.max_retries {
                 self.stats.give_ups += 1;
@@ -256,45 +234,21 @@ impl<T: Transport> RetryClient<T> {
     }
 }
 
-/// A line-oriented TCP transport. The connection is opened lazily and
-/// dropped on any I/O error, so the next attempt reconnects — which is
-/// exactly the retry client's `Drop` path.
-pub struct TcpTransport {
-    addr: String,
-    conn: Option<BufReader<TcpStream>>,
-}
+/// A line-oriented TCP transport on the line transport's upstream
+/// connection: opened lazily and dropped on any I/O error, so the next
+/// attempt reconnects — exactly what the retry client's retry needs.
+pub struct TcpTransport(Upstream);
 
 impl TcpTransport {
     /// A transport for `host:port` (connects on first call).
     pub fn new(addr: impl Into<String>) -> TcpTransport {
-        TcpTransport { addr: addr.into(), conn: None }
+        TcpTransport(Upstream::new(addr))
     }
 }
 
 impl Transport for TcpTransport {
-    fn call(&mut self, line: &str) -> Result<String, TransportError> {
-        if self.conn.is_none() {
-            let stream = TcpStream::connect(&self.addr)
-                .map_err(|e| TransportError::Drop(format!("connect {}: {e}", self.addr)))?;
-            self.conn = Some(BufReader::new(stream));
-        }
-        let conn = self.conn.as_mut().expect("just connected");
-        let io = (|| -> std::io::Result<String> {
-            conn.get_ref().write_all(line.as_bytes())?;
-            conn.get_ref().write_all(b"\n")?;
-            let mut response = String::new();
-            if conn.read_line(&mut response)? == 0 {
-                return Err(std::io::Error::other("server closed the connection"));
-            }
-            Ok(response.trim_end_matches(['\n', '\r']).to_string())
-        })();
-        match io {
-            Ok(response) => Ok(response),
-            Err(e) => {
-                self.conn = None; // reconnect on the next attempt
-                Err(TransportError::Drop(e.to_string()))
-            }
-        }
+    fn call(&mut self, line: &str) -> Result<String, String> {
+        self.0.call(line).map_err(|e| e.to_string())
     }
 }
 
@@ -377,7 +331,7 @@ impl InProcess {
 }
 
 impl Transport for InProcess {
-    fn call(&mut self, line: &str) -> Result<String, TransportError> {
+    fn call(&mut self, line: &str) -> Result<String, String> {
         let request = match parse_request(line) {
             Ok(r) => r,
             Err((id, e)) => return Ok(error_response(id, &e)),
@@ -389,7 +343,7 @@ impl Transport for InProcess {
         }
         let response = sink.wait();
         if self.faults.as_ref().is_some_and(|p| p.drop_response()) {
-            return Err(TransportError::Drop("injected connection drop".into()));
+            return Err("injected connection drop".into());
         }
         Ok(response)
     }
@@ -405,12 +359,12 @@ mod tests {
     use sv_workloads::benchmark;
 
     struct Scripted {
-        responses: Vec<Result<String, TransportError>>,
+        responses: Vec<Result<String, String>>,
         calls: u32,
     }
 
     impl Transport for Scripted {
-        fn call(&mut self, _line: &str) -> Result<String, TransportError> {
+        fn call(&mut self, _line: &str) -> Result<String, String> {
             self.calls += 1;
             self.responses.remove(0)
         }
@@ -432,7 +386,7 @@ mod tests {
             Scripted {
                 responses: vec![
                     Ok(overloaded.into()),
-                    Err(TransportError::Drop("reset".into())),
+                    Err("reset".into()),
                     Ok(r#"{"id":1,"ok":true,"result":{}}"#.into()),
                 ],
                 calls: 0,
@@ -493,7 +447,7 @@ mod tests {
         let start = Instant::now();
         let e = c.call("{}", Some(start + Duration::from_millis(5))).unwrap_err();
         assert!(start.elapsed() < Duration::from_millis(500), "must not sleep 1s");
-        let ClientError::GiveUp { last, .. } = e else { panic!("{e}") };
+        let ClientError::GiveUp { last, .. } = e;
         assert!(last.contains("deadline budget"), "{last}");
     }
 
@@ -536,7 +490,7 @@ mod tests {
         let start = Instant::now();
         let e = c.call("{}", Some(start + Duration::from_millis(5))).unwrap_err();
         assert!(start.elapsed() < Duration::from_millis(500), "must not sleep 60s");
-        let ClientError::GiveUp { last, .. } = e else { panic!("{e}") };
+        let ClientError::GiveUp { last, .. } = e;
         assert!(last.contains("deadline budget"), "{last}");
         assert_eq!(c.stats().hinted, 0, "the hinted sleep never happened");
     }

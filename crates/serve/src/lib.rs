@@ -14,11 +14,12 @@
 //!   batching drainer: per-client weighted-fair admission, round-robin
 //!   drain, per-entry panic isolation, exactly-once response accounting
 //!   across drainer deaths;
-//! * [`server`] — the multi-client TCP accept loop: per-connection
+//! * [`server`] — the multi-client TCP front door: per-connection
 //!   client identities, `--max-clients` bounding, EOF-survival;
 //! * [`router`] — the shard-by-canonical-hash front process for
 //!   multi-instance mode: pure-hash routing on the v2 request key,
 //!   per-shard health checks, typed failover;
+//! * `wire` (private) — the one line transport of both and of the client;
 //! * [`metrics`] — lock-free latency histograms and the `metrics` verb's
 //!   canonical rendering;
 //! * [`faults`] — seeded, deterministic fault injection (disk I/O errors,
@@ -52,12 +53,14 @@ pub mod proto;
 pub mod router;
 pub mod server;
 pub mod service;
+mod wire;
 
 pub use batch::{BatchConfig, Batcher, QueueStats, Sink, DEFAULT_CLIENT};
 pub use client::{ClientError, InProcess, RetryClient, RetryPolicy, RetryStats, TcpTransport};
 pub use faults::{CompileFault, FaultConfig, FaultCounters, FaultPlan};
 pub use metrics::{LatencyHistogram, PhaseLatencies};
 pub use proto::{parse_request, CompileRequest, Request, ServeError};
-pub use router::{Router, RouterConfig};
-pub use server::{serve_lines, Server, ServerConfig};
+pub use router::Router;
+pub use server::{serve_lines, Server, DEFAULT_MAX_CLIENTS};
 pub use service::ServeService;
+pub use wire::MAX_LINE_BYTES;

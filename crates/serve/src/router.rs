@@ -26,64 +26,15 @@ use crate::json::escape;
 use crate::proto::{
     error_response, ok_response, parse_request, CompileRequest, Request, ServeError,
 };
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use crate::wire::{self, Upstream};
 use std::net::{TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
 use sv_machine::MachineRegistry;
-
-/// Router knobs.
-#[derive(Debug, Clone)]
-pub struct RouterConfig {
-    /// Per-shard connect timeout.
-    pub connect_timeout_ms: u64,
-    /// Per-shard response read timeout (compiles can be slow; this only
-    /// bounds a shard that stopped answering entirely).
-    pub read_timeout_ms: u64,
-}
-
-impl Default for RouterConfig {
-    fn default() -> RouterConfig {
-        RouterConfig { connect_timeout_ms: 1_000, read_timeout_ms: 30_000 }
-    }
-}
 
 struct Shard {
     addr: String,
     healthy: AtomicBool,
-}
-
-/// One persistent connection from a router worker to a shard.
-struct ShardConn {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl ShardConn {
-    fn connect(addr: &str, cfg: &RouterConfig) -> std::io::Result<ShardConn> {
-        use std::net::ToSocketAddrs;
-        let sock = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| std::io::Error::other(format!("unresolvable shard `{addr}`")))?;
-        let stream =
-            TcpStream::connect_timeout(&sock, Duration::from_millis(cfg.connect_timeout_ms))?;
-        stream.set_read_timeout(Some(Duration::from_millis(cfg.read_timeout_ms)))?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(ShardConn { stream, reader })
-    }
-
-    /// Send one request line, read one response line.
-    fn call(&mut self, line: &str) -> std::io::Result<String> {
-        writeln!(self.stream, "{line}")?;
-        self.stream.flush()?;
-        let mut resp = String::new();
-        let n = self.reader.read_line(&mut resp)?;
-        if n == 0 {
-            return Err(std::io::Error::new(ErrorKind::UnexpectedEof, "shard hung up"));
-        }
-        Ok(resp.trim_end().to_string())
-    }
 }
 
 /// The routing front process: pure-hash shard selection, health
@@ -91,15 +42,17 @@ impl ShardConn {
 pub struct Router {
     shards: Vec<Shard>,
     registry: MachineRegistry,
-    cfg: RouterConfig,
+    max_clients: usize,
     closed: AtomicBool,
 }
 
 impl Router {
     /// Build a router over shard addresses (each a running `svd --tcp`).
     /// The registry must resolve the same machine names the shards do,
-    /// so named requests key identically on both sides.
-    pub fn new(addrs: Vec<String>, registry: MachineRegistry, cfg: RouterConfig) -> Router {
+    /// so named requests key identically on both sides. At most
+    /// `max_clients` client connections are served at once, as by a
+    /// [`crate::Server`].
+    pub fn new(addrs: Vec<String>, registry: MachineRegistry, max_clients: usize) -> Router {
         assert!(!addrs.is_empty(), "a router needs at least one shard");
         Router {
             shards: addrs
@@ -107,7 +60,7 @@ impl Router {
                 .map(|addr| Shard { addr, healthy: AtomicBool::new(true) })
                 .collect(),
             registry,
-            cfg,
+            max_clients,
             closed: AtomicBool::new(false),
         }
     }
@@ -131,8 +84,8 @@ impl Router {
         self.shards
             .iter()
             .map(|s| {
-                let up = ShardConn::connect(&s.addr, &self.cfg)
-                    .and_then(|mut c| c.call("{\"verb\":\"stats\",\"id\":0}"))
+                let up = Upstream::new(s.addr.as_str())
+                    .call("{\"verb\":\"stats\",\"id\":0}")
                     .map(|resp| resp.contains("\"ok\":true"))
                     .unwrap_or(false);
                 s.healthy.store(up, Ordering::Relaxed);
@@ -155,14 +108,14 @@ impl Router {
     /// [`ServeError::Unavailable`] when every shard fails.
     fn forward(
         &self,
-        conns: &mut [Option<ShardConn>],
+        conns: &mut [Upstream],
         target: usize,
         line: &str,
     ) -> Result<String, ServeError> {
         let n = self.shards.len();
         for k in 0..n {
             let i = (target + k) % n;
-            match self.try_shard(conns, i, line) {
+            match try_shard(&mut conns[i], line) {
                 Ok(resp) => {
                     self.shards[i].healthy.store(true, Ordering::Relaxed);
                     return Ok(resp);
@@ -173,27 +126,6 @@ impl Router {
         Err(ServeError::Unavailable {
             message: format!("all {n} shard(s) failed for this request"),
         })
-    }
-
-    /// One shard attempt with a single reconnect: a dead persistent
-    /// connection is replaced once before the shard is declared failed
-    /// for this request.
-    fn try_shard(
-        &self,
-        conns: &mut [Option<ShardConn>],
-        i: usize,
-        line: &str,
-    ) -> std::io::Result<String> {
-        if conns[i].is_none() {
-            conns[i] = Some(ShardConn::connect(&self.shards[i].addr, &self.cfg)?);
-        }
-        if let Ok(resp) = conns[i].as_mut().expect("just connected").call(line) {
-            return Ok(resp);
-        }
-        // The cached connection was stale (shard restarted, idle drop):
-        // one fresh connection decides.
-        conns[i] = Some(ShardConn::connect(&self.shards[i].addr, &self.cfg)?);
-        conns[i].as_mut().expect("just connected").call(line)
     }
 
     /// The first shard currently marked healthy (stateless verbs), or
@@ -207,46 +139,28 @@ impl Router {
 
     /// Serve one client connection: route each line, write each response.
     fn handle_conn(&self, stream: TcpStream) {
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-        let Ok(reader) = stream.try_clone() else { return };
-        let mut writer = stream;
-        let mut reader = BufReader::new(reader);
-        let mut conns: Vec<Option<ShardConn>> =
-            (0..self.shards.len()).map(|_| None).collect();
-        let mut line = String::new();
-        loop {
-            match reader.read_line(&mut line) {
-                Ok(0) => return,
-                Ok(_) => {
-                    let out = self.route_line(&mut conns, line.trim_end());
-                    line.clear();
-                    if let Some(out) = out {
-                        if writeln!(writer, "{out}").is_err() {
-                            return;
-                        }
-                        let _ = writer.flush();
-                    }
-                    if self.is_closed() {
-                        return;
-                    }
+        let mut conns: Vec<Upstream> =
+            self.shards.iter().map(|s| Upstream::new(s.addr.as_str())).collect();
+        wire::serve_conn(
+            &stream,
+            || self.is_closed(),
+            |line| {
+                let out = self.route_line(&mut conns, line.trim_end());
+                let written = out.is_none_or(|out| wire::write_line(&mut &stream, &out).is_ok());
+                if written && !self.is_closed() {
+                    ControlFlow::Continue(())
+                } else {
+                    ControlFlow::Break(())
                 }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                    ) =>
-                {
-                    if self.is_closed() {
-                        return;
-                    }
-                }
-                Err(_) => return,
-            }
-        }
+            },
+            |line| {
+                let _ = wire::write_line(&mut &stream, line);
+            },
+        );
     }
 
     /// Route one request line; `None` for blank lines.
-    fn route_line(&self, conns: &mut [Option<ShardConn>], line: &str) -> Option<String> {
+    fn route_line(&self, conns: &mut [Upstream], line: &str) -> Option<String> {
         if line.trim().is_empty() {
             return None;
         }
@@ -277,18 +191,8 @@ impl Router {
 
     /// Forward `shutdown` to every shard (best effort), ack the client,
     /// and close the router.
-    fn broadcast_shutdown(
-        &self,
-        conns: &mut [Option<ShardConn>],
-        line: &str,
-        id: u64,
-    ) -> String {
-        let mut acked = 0usize;
-        for i in 0..self.shards.len() {
-            if self.try_shard(conns, i, line).is_ok() {
-                acked += 1;
-            }
-        }
+    fn broadcast_shutdown(&self, conns: &mut [Upstream], line: &str, id: u64) -> String {
+        let acked = conns.iter_mut().map(|c| try_shard(c, line)).filter(Result::is_ok).count();
         self.closed.store(true, Ordering::Relaxed);
         ok_response(
             id,
@@ -299,32 +203,22 @@ impl Router {
         )
     }
 
-    /// Accept and route client connections until a `shutdown` is routed.
-    /// Accept failures are contained exactly like the server's loop.
+    /// Accept and route client connections until a `shutdown` is routed,
+    /// on the server's accept loop.
     ///
     /// # Errors
     ///
     /// Only for listener-level setup failure.
     pub fn serve(&self, listener: TcpListener) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
-        std::thread::scope(|scope| {
-            let mut conns = Vec::new();
-            while !self.is_closed() {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        conns.push(scope.spawn(move || self.handle_conn(stream)));
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                }
-            }
-            for c in conns {
-                let _ = c.join();
-            }
-        });
-        Ok(())
+        wire::accept_loop(
+            listener,
+            self.max_clients,
+            || self.is_closed(),
+            // A router queues nothing to estimate a wait from: it hints
+            // one reader poll interval.
+            || wire::POLL.as_millis() as u64,
+            |stream| self.handle_conn(stream),
+        )
     }
 
     /// Render the router's own health view as one JSON line (logged at
@@ -342,5 +236,15 @@ impl Router {
             })
             .collect();
         format!("{{\"shards\":[{}]}}", entries.join(","))
+    }
+}
+
+/// One shard attempt: a stale open connection (shard restarted, idle
+/// drop) is replaced once before the shard counts as failed.
+fn try_shard(conn: &mut Upstream, line: &str) -> std::io::Result<String> {
+    let reused = conn.is_open();
+    match conn.call(line) {
+        Err(_) if reused => conn.call(line),
+        result => result,
     }
 }

@@ -4,49 +4,43 @@
 //! batcher (weighted-fair admission, round-robin service — see
 //! [`crate::batch`]) and gets a dedicated reader thread; responses are
 //! written back by the drainer through the connection's sink, in that
-//! connection's submission order. The accept loop:
+//! connection's submission order. The accept loop and line reader are
+//! the line transport's (`wire`), shared with the router:
 //!
-//! * is bounded by [`ServerConfig::max_clients`] — a connection past the
-//!   bound is answered with one typed `overloaded` line (carrying the
-//!   live `retry_after_ms` hint) and closed, never queued invisibly;
-//! * survives client misbehavior: a disconnect, EOF mid-line, or failed
-//!   accept handshake costs only that connection — the daemon keeps
-//!   serving (the pre-multi-tenant loop died on the first accept error);
-//! * winds down when the batcher closes (a `shutdown` verb from any
-//!   client, or [`crate::Batcher::close`]): connection threads notice
-//!   via a finite read timeout and exit even when their client keeps an
-//!   idle connection open.
+//! * at most `max_clients` connections are served — one past the bound
+//!   gets one typed `overloaded` line (with the live `retry_after_ms`
+//!   hint) and is closed, never queued invisibly;
+//! * client misbehavior — a disconnect, EOF mid-line, a failed accept
+//!   handshake, a request line over [`crate::MAX_LINE_BYTES`] — costs
+//!   only that connection; the daemon keeps serving;
+//! * the loop winds down when the batcher closes (a `shutdown` verb from
+//!   any client, or [`crate::Batcher::close`]): connection threads notice
+//!   through a finite read timeout and exit even when their client keeps
+//!   an idle connection open.
 
 use crate::batch::{Batcher, Sink, DEFAULT_CLIENT};
-use crate::proto::{error_response, parse_request, ServeError};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use crate::proto::{error_response, parse_request};
+use crate::wire;
+use std::io::Read;
+use std::net::TcpListener;
+use std::ops::ControlFlow;
+use std::sync::{Arc, Mutex, PoisonError};
 
-/// Accept-loop knobs.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Most simultaneous connections served; the next one is refused
-    /// with a typed `overloaded` line.
-    pub max_clients: usize,
-    /// Fairness share registered for each connection (see
-    /// [`Batcher::register_client`]).
-    pub client_share: usize,
-}
+/// Connections a [`Server`] or [`crate::Router`] serves at once unless
+/// told otherwise (`svd --max-clients`).
+pub const DEFAULT_MAX_CLIENTS: usize = 64;
 
-impl Default for ServerConfig {
-    fn default() -> ServerConfig {
-        ServerConfig { max_clients: 64, client_share: 1 }
-    }
+/// Write one line on a shared sink (a dead sink loses only that line).
+fn respond(sink: &Sink, line: &str) {
+    let _ = wire::write_line(&mut *sink.lock().unwrap_or_else(PoisonError::into_inner), line);
 }
 
 /// Parse one request line and submit it on behalf of `client`; admission
 /// failures (parse, overload, shutdown) are answered immediately on
 /// `sink` without occupying the queue.
-fn handle_line(batcher: &Batcher, client: u64, line: &str, sink: &Sink) {
+fn handle_line(batcher: &Batcher, client: u64, line: &str, sink: &Sink) -> ControlFlow<()> {
     if line.trim().is_empty() {
-        return;
+        return ControlFlow::Continue(());
     }
     let outcome = match parse_request(line) {
         Ok(req) => {
@@ -56,69 +50,39 @@ fn handle_line(batcher: &Batcher, client: u64, line: &str, sink: &Sink) {
         Err((id, e)) => Some((id, e)),
     };
     if let Some((id, e)) = outcome {
-        let mut w = sink.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let _ = writeln!(w, "{}", error_response(id, &e));
-        let _ = w.flush();
+        respond(sink, &error_response(id, &e));
     }
+    ControlFlow::Continue(())
 }
 
 /// Read request lines from `input` as the always-registered
 /// [`DEFAULT_CLIENT`], submitting each to the batcher — the stdio
-/// front-end (`svd` without `--tcp`) and the test harnesses.
-pub fn serve_lines(input: impl BufRead, batcher: &Batcher, sink: &Sink) {
-    for line in input.lines() {
-        let Ok(line) = line else { break };
-        handle_line(batcher, DEFAULT_CLIENT, &line, sink);
-    }
-}
-
-/// Serve one accepted connection as registered client `client` until the
-/// client hangs up or the batcher closes.
-fn serve_conn(batcher: &Batcher, client: u64, stream: TcpStream) {
-    // A finite read timeout lets this thread notice server shutdown even
-    // when its client keeps an idle connection open.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let reader = match stream.try_clone() {
-        Ok(r) => r,
-        Err(_) => return, // connection-local failure: drop this client only
-    };
-    let sink: Sink = Arc::new(Mutex::new(stream));
-    let mut reader = BufReader::new(reader);
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // client EOF
-            Ok(_) => {
-                handle_line(batcher, client, &line, &sink);
-                line.clear();
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) =>
-            {
-                // Idle (or mid-line) timeout: keep any partial line
-                // accumulated so far and poll the shutdown flag.
-                if batcher.is_closed() {
-                    return;
-                }
-            }
-            Err(_) => return, // connection reset: this client is gone
-        }
+/// front-end (`svd` without `--tcp`) and the test harnesses. A line over
+/// [`crate::MAX_LINE_BYTES`] is answered with a typed `bad_request` and
+/// ends the input.
+pub fn serve_lines(input: impl Read, batcher: &Batcher, sink: &Sink) {
+    let read = wire::read_lines(
+        input,
+        || batcher.is_closed(),
+        |line| handle_line(batcher, DEFAULT_CLIENT, line, sink),
+    );
+    if let Err(refusal) = read {
+        respond(sink, &refusal);
     }
 }
 
 /// The accept loop around a shared [`Batcher`].
 pub struct Server {
     batcher: Arc<Batcher>,
-    cfg: ServerConfig,
+    max_clients: usize,
 }
 
 impl Server {
-    /// Wrap a batcher in an accept loop.
-    pub fn new(batcher: Arc<Batcher>, cfg: ServerConfig) -> Server {
-        Server { batcher, cfg }
+    /// Wrap a batcher in an accept loop serving at most `max_clients`
+    /// connections at once; the next is refused with a typed
+    /// `overloaded` line.
+    pub fn new(batcher: Arc<Batcher>, max_clients: usize) -> Server {
+        Server { batcher, max_clients }
     }
 
     /// Accept and serve connections until the batcher closes (a
@@ -131,52 +95,26 @@ impl Server {
     /// Only for listener-level setup failure (`set_nonblocking`);
     /// per-connection errors are contained.
     pub fn serve(&self, listener: TcpListener) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
-        let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.batcher.is_closed() {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    // Reap finished connection threads so the bound
-                    // tracks *live* clients, not historical ones.
-                    conns.retain(|h| !h.is_finished());
-                    if conns.len() >= self.cfg.max_clients {
-                        refuse(stream, self.cfg.max_clients, self.batcher.retry_after_hint());
-                        continue;
-                    }
-                    let client = self.batcher.register_client(self.cfg.client_share);
-                    let b = Arc::clone(&self.batcher);
-                    let spawned = std::thread::Builder::new()
-                        .name(format!("sv-serve-conn-{peer}"))
-                        .spawn(move || {
-                            serve_conn(&b, client, stream);
-                            b.deregister_client(client);
-                        });
-                    match spawned {
-                        Ok(h) => conns.push(h),
-                        Err(_) => self.batcher.deregister_client(client),
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                // A failed accept (client vanished mid-handshake,
-                // transient resource pressure) must never kill the
-                // daemon: keep listening.
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
-            }
-        }
-        drop(listener);
-        for c in conns {
-            let _ = c.join();
-        }
-        Ok(())
+        let b = &*self.batcher;
+        wire::accept_loop(
+            listener,
+            self.max_clients,
+            || b.is_closed(),
+            || b.retry_after_hint(),
+            |stream| {
+                // The drainer writes responses through the sink's clone;
+                // a failed clone drops this client only.
+                let Ok(writer) = stream.try_clone() else { return };
+                let sink: Sink = Arc::new(Mutex::new(writer));
+                let client = b.register_client(1);
+                wire::serve_conn(
+                    &stream,
+                    || b.is_closed(),
+                    |line| handle_line(b, client, line, &sink),
+                    |line| respond(&sink, line),
+                );
+                b.deregister_client(client);
+            },
+        )
     }
-}
-
-/// Answer an over-capacity connection with one typed `overloaded` line
-/// and close it.
-fn refuse(mut stream: TcpStream, max_clients: usize, retry_after_ms: u64) {
-    let e = ServeError::Overloaded { cap: max_clients, retry_after_ms };
-    let _ = writeln!(stream, "{}", error_response(0, &e));
-    let _ = stream.flush();
 }

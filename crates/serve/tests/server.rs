@@ -8,6 +8,9 @@
 //! * a connection past `--max-clients` is refused with one typed
 //!   `overloaded` line carrying a `retry_after_ms` hint — and the slot
 //!   is reusable once the earlier client leaves;
+//! * a request line over `MAX_LINE_BYTES` is answered with one typed
+//!   `bad_request` naming the limit and its connection is closed, while a
+//!   line of exactly the limit is served;
 //! * the `metrics` verb answers over TCP, and its rendering is pinned by
 //!   a golden snapshot (all numbers masked — the *shape* is the
 //!   contract). Re-bless intentional changes with:
@@ -20,17 +23,17 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
-use sv_serve::{BatchConfig, Batcher, CompileRequest, Server, ServerConfig};
+use sv_serve::{BatchConfig, Batcher, CompileRequest, Server, DEFAULT_MAX_CLIENTS, MAX_LINE_BYTES};
 
 fn start(
-    cfg: ServerConfig,
+    max_clients: usize,
 ) -> (SocketAddr, Arc<Batcher>, std::thread::JoinHandle<std::io::Result<()>>) {
     let svc = Arc::new(sv_serve::ServeService::in_memory());
     let batcher = Arc::new(Batcher::new(svc, BatchConfig::default()));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
     let addr = listener.local_addr().expect("local addr");
     let b = Arc::clone(&batcher);
-    let h = std::thread::spawn(move || Server::new(b, cfg).serve(listener));
+    let h = std::thread::spawn(move || Server::new(b, max_clients).serve(listener));
     (addr, batcher, h)
 }
 
@@ -69,7 +72,7 @@ fn shutdown(addr: SocketAddr, batcher: Arc<Batcher>, h: std::thread::JoinHandle<
 
 #[test]
 fn accept_loop_survives_client_disconnect() {
-    let (addr, batcher, h) = start(ServerConfig::default());
+    let (addr, batcher, h) = start(DEFAULT_MAX_CLIENTS);
     let first = {
         let mut conn = connect(addr);
         call(&mut conn, &compile_line(1))
@@ -87,7 +90,7 @@ fn accept_loop_survives_client_disconnect() {
 
 #[test]
 fn concurrent_clients_all_complete() {
-    let (addr, batcher, h) = start(ServerConfig::default());
+    let (addr, batcher, h) = start(DEFAULT_MAX_CLIENTS);
     let workers: Vec<_> = (0..4u64)
         .map(|k| {
             std::thread::spawn(move || {
@@ -116,7 +119,7 @@ fn concurrent_clients_all_complete() {
 
 #[test]
 fn connection_past_max_clients_is_refused_then_slot_reopens() {
-    let (addr, batcher, h) = start(ServerConfig { max_clients: 1, ..ServerConfig::default() });
+    let (addr, batcher, h) = start(1);
     let mut first = connect(addr);
     // A served round trip guarantees the first connection occupies the
     // one slot before the second one knocks.
@@ -148,6 +151,33 @@ fn connection_past_max_clients_is_refused_then_slot_reopens() {
     shutdown(addr, batcher, h);
 }
 
+/// A `stats` request padded with spaces to exactly `len` bytes.
+fn padded_stats(id: u64, len: usize) -> String {
+    let mut line = format!("{{\"verb\":\"stats\",\"id\":{id}}}");
+    line.push_str(&" ".repeat(len - line.len()));
+    line
+}
+
+#[test]
+fn over_long_request_line_is_refused_and_closes_the_connection() {
+    let (addr, batcher, h) = start(DEFAULT_MAX_CLIENTS);
+    let mut conn = connect(addr);
+    let at_limit = call(&mut conn, &padded_stats(1, MAX_LINE_BYTES));
+    assert!(at_limit.contains("\"ok\":true"), "a line of exactly the limit is served: {at_limit}");
+    let refusal = call(&mut conn, &padded_stats(2, MAX_LINE_BYTES + 1));
+    assert!(refusal.contains("\"kind\":\"bad_request\""), "{refusal}");
+    assert!(refusal.contains(&MAX_LINE_BYTES.to_string()), "must name the limit: {refusal}");
+    let mut rest = String::new();
+    assert_eq!(conn.read_line(&mut rest).expect("eof"), 0, "connection must close: {rest}");
+    drop(conn);
+    // Only that connection is lost.
+    let mut other = connect(addr);
+    let ok = call(&mut other, "{\"verb\":\"stats\",\"id\":3}");
+    assert!(ok.contains("\"ok\":true"), "{ok}");
+    drop(other);
+    shutdown(addr, batcher, h);
+}
+
 /// Replace every number (integer or decimal) with `N`: the metrics
 /// object's *shape* — keys, nesting, ordering — is the wire contract;
 /// the gauges are free-running.
@@ -169,7 +199,7 @@ fn mask_numbers(line: &str) -> String {
 
 #[test]
 fn metrics_over_tcp_matches_golden_shape() {
-    let (addr, batcher, h) = start(ServerConfig::default());
+    let (addr, batcher, h) = start(DEFAULT_MAX_CLIENTS);
     let mut conn = connect(addr);
     // Touch every phase so the latency histograms are non-trivially
     // populated (values are masked; presence is what's pinned).
