@@ -241,7 +241,7 @@ fn run_seed(seed: u64, reqs: &[CompileRequest], control: &[String], jobs: usize)
             let plan = Arc::clone(&plan);
             let reqs = reqs.to_vec();
             std::thread::spawn(move || {
-                let cid = b.register_client(1);
+                let cid = b.register_client();
                 let mut admitted = Vec::new();
                 let mut rejected = 0u64;
                 let mut seq = 0u64;

@@ -3,21 +3,26 @@
 //! [`compile_checked`] runs the partition → transform → modulo-schedule
 //! pipeline with every internal failure mode surfaced as a typed
 //! [`CompileError`] carrying pass provenance (which pass, which loop, a
-//! re-parseable dump of the offending artifact) instead of an unwind:
+//! re-parseable dump of the offending artifact) instead of an unwind.
+//! Every strategy is assembled from the same three steps, so each pass is
+//! timed, counted and checked in exactly one place:
 //!
-//! * the IR verifier runs on the input and, when
-//!   [`DriverConfig::verify_boundaries`] is set, on every transformed loop
-//!   at the pass boundary that produced it;
-//! * every modulo schedule is structurally validated (dependences,
-//!   resource occupancy, assignment coverage) before it is accepted;
-//! * the Kernighan–Lin partitioner and the scheduler's II search run under
-//!   deterministic step budgets ([`SelectiveConfig::max_moves`],
-//!   [`ScheduleConfig`]);
-//! * on budget exhaustion or pass failure the driver degrades gracefully —
-//!   Selective → Full → Traditional → ModuloOnly — recording each
-//!   [`Fallback`] and its reason in the [`CompilationReport`];
-//! * any residual panic in a pass is contained with `catch_unwind` and
-//!   reported as [`CompileError::Internal`].
+//! * **partition** — the Kernighan–Lin selective partitioner, under its
+//!   deterministic move budget ([`SelectiveConfig::max_moves`]);
+//! * **transform** — the vectorizing unroll of a partition, with the
+//!   product IR-verified at the pass boundary when
+//!   [`DriverConfig::verify_boundaries`] is set;
+//! * **segment** — one dependence graph per main loop, on which the loop
+//!   is modulo scheduled under [`ScheduleConfig`] (or takes the oracle's
+//!   witness schedule), validated (dependences, resource occupancy,
+//!   assignment coverage) and given rotating registers; a cleanup loop
+//!   covers remainder iterations.
+//!
+//! On budget exhaustion or pass failure the driver degrades gracefully —
+//! Selective → Full → Traditional → ModuloOnly — recording each
+//! [`Fallback`] and its reason in the [`CompilationReport`]. A panic in
+//! any pass is always contained with `catch_unwind` and reported as
+//! [`CompileError::Internal`].
 //!
 //! The historical [`crate::compile`] / [`crate::compile_with`] entry
 //! points are thin wrappers over this driver with default settings.
@@ -252,9 +257,6 @@ pub struct DriverConfig {
     /// Widened → ModuloOnly) when an attempt fails, instead of returning
     /// its error.
     pub degrade: bool,
-    /// Contain panics escaping a pass and report them as
-    /// [`CompileError::Internal`].
-    pub catch_panics: bool,
 }
 
 impl Default for DriverConfig {
@@ -265,7 +267,6 @@ impl Default for DriverConfig {
             schedule: ScheduleConfig::default(),
             verify_boundaries: true,
             degrade: true,
-            catch_panics: true,
         }
     }
 }
@@ -287,6 +288,10 @@ impl DriverConfig {
             Some(n) => n.to_string(),
             None => "none".into(),
         };
+        // `catch_panics = true` is a literal: panic containment was once a
+        // knob and is now unconditional. The line stays so every request
+        // key, and with it every deployed v3 disk tier, stays
+        // byte-identical without a `KEY_SCHEMA` bump.
         format!(
             "strategy = {}\n\
              selective.account_communication = {}\n\
@@ -298,7 +303,7 @@ impl DriverConfig {
              schedule.max_ii_slack = {}\n\
              verify_boundaries = {}\n\
              degrade = {}\n\
-             catch_panics = {}\n",
+             catch_panics = true\n",
             self.strategy.canonical_name(),
             self.selective.account_communication,
             self.selective.squares_tiebreak,
@@ -309,7 +314,6 @@ impl DriverConfig {
             self.schedule.max_ii_slack,
             self.verify_boundaries,
             self.degrade,
-            self.catch_panics,
         )
     }
 }
@@ -531,7 +535,9 @@ fn fallback_chain(s: Strategy) -> &'static [Strategy] {
 }
 
 /// One strategy attempt with its boundary-check accounting and pass-level
-/// statistics.
+/// statistics. Every strategy is built from the same three steps —
+/// [`Attempt::partition`], [`Attempt::transform`] and [`Attempt::segment`]
+/// — so each pass is timed, counted and boundary-checked in one place.
 struct Attempt<'a> {
     m: &'a MachineConfig,
     cfg: &'a DriverConfig,
@@ -556,105 +562,6 @@ impl Attempt<'_> {
         })
     }
 
-    /// Schedule one loop under the budget, validating the result, with
-    /// the pass timed and the scheduler's search effort recorded.
-    fn schedule_one(&mut self, looop: &Loop) -> Result<Schedule, CompileError> {
-        let t0 = std::time::Instant::now();
-        let r = self.schedule_one_inner(looop);
-        self.stats.schedule_ns += t0.elapsed().as_nanos() as u64;
-        if let Ok(s) = &r {
-            self.stats.schedules += 1;
-            self.stats.iis_tried.extend_from_slice(&s.iis_tried);
-            for (slot, &ml) in s.max_live.iter().enumerate() {
-                self.stats.max_live[slot] = self.stats.max_live[slot].max(ml);
-            }
-        }
-        r
-    }
-
-    fn schedule_one_inner(&mut self, looop: &Loop) -> Result<Schedule, CompileError> {
-        let g = DepGraph::build(looop);
-        let s = modulo_schedule_with(looop, &g, self.m, &self.cfg.schedule).map_err(
-            |error| CompileError::Schedule {
-                strategy: self.strategy,
-                looop: looop.name.clone(),
-                error,
-            },
-        )?;
-        if self.cfg.verify_boundaries {
-            self.boundary_checks += 1;
-            validate_schedule(looop, &g, self.m, &s).map_err(|error| {
-                CompileError::BoundaryValidate {
-                    strategy: self.strategy,
-                    looop: looop.name.clone(),
-                    error,
-                    dump: looop.to_string(),
-                }
-            })?;
-        }
-        Ok(s)
-    }
-
-    /// Build a segment from a main loop and the scalar form covering its
-    /// remainder iterations.
-    fn make_segment(&mut self, main: Loop, scalar_form: &Loop) -> Result<Segment, CompileError> {
-        let schedule = self.schedule_one(&main)?;
-        let t0 = std::time::Instant::now();
-        let g = DepGraph::build(&main);
-        let registers = allocate_rotating(&main, &g, self.m, &schedule).ok();
-        self.stats.schedule_ns += t0.elapsed().as_nanos() as u64;
-        let cleanup = if needs_cleanup(&main) {
-            let mut c = scalar_form.clone();
-            c.name = format!("{}.cleanup", scalar_form.name);
-            let cs = self.schedule_one(&c)?;
-            Some((c, cs))
-        } else {
-            None
-        };
-        Ok(Segment { looop: main, schedule, registers, cleanup })
-    }
-
-    /// Build a segment around a schedule the oracle already produced:
-    /// the witness schedule is validated at the boundary exactly like a
-    /// scheduler product, then registers are allocated and a cleanup
-    /// loop is attached as in [`Attempt::make_segment`].
-    fn make_segment_with_schedule(
-        &mut self,
-        main: Loop,
-        schedule: Schedule,
-        scalar_form: &Loop,
-    ) -> Result<Segment, CompileError> {
-        let t0 = std::time::Instant::now();
-        let g = DepGraph::build(&main);
-        if self.cfg.verify_boundaries {
-            self.boundary_checks += 1;
-            validate_schedule(&main, &g, self.m, &schedule).map_err(|error| {
-                CompileError::BoundaryValidate {
-                    strategy: self.strategy,
-                    looop: main.name.clone(),
-                    error,
-                    dump: main.to_string(),
-                }
-            })?;
-        }
-        let registers = allocate_rotating(&main, &g, self.m, &schedule).ok();
-        self.stats.schedule_ns += t0.elapsed().as_nanos() as u64;
-        self.stats.schedules += 1;
-        self.stats.iis_tried.extend_from_slice(&schedule.iis_tried);
-        for (slot, &ml) in schedule.max_live.iter().enumerate() {
-            self.stats.max_live[slot] = self.stats.max_live[slot].max(ml);
-        }
-        let cleanup = if needs_cleanup(&main) {
-            let mut c = scalar_form.clone();
-            c.name = format!("{}.cleanup", scalar_form.name);
-            let cs = self.schedule_one(&c)?;
-            Some((c, cs))
-        } else {
-            None
-        };
-        Ok(Segment { looop: main, schedule, registers, cleanup })
-    }
-
     fn transform_err(&self, l: &Loop, error: TransformError) -> CompileError {
         CompileError::Transform {
             strategy: self.strategy,
@@ -663,156 +570,155 @@ impl Attempt<'_> {
         }
     }
 
+    /// The Kernighan–Lin selective partition of `l`, timed, with the
+    /// partitioner's search effort recorded and its move budget enforced.
+    fn partition(&mut self, l: &Loop) -> Result<PartitionResult, CompileError> {
+        let t0 = std::time::Instant::now();
+        let g = DepGraph::build(l);
+        let r = partition_ops(l, &g, self.m, &self.cfg.selective);
+        self.stats.partition_ns += t0.elapsed().as_nanos() as u64;
+        self.stats.kl_passes = r.iterations;
+        self.stats.kl_probes = r.moves_evaluated;
+        self.stats.kl_moves = r.moves_committed;
+        self.stats.bin_packs = r.bin_packs;
+        if r.budget_exhausted {
+            return Err(CompileError::BudgetExhausted {
+                strategy: self.strategy,
+                pass: Pass::Partition,
+                looop: l.name.clone(),
+                detail: format!(
+                    "KL move budget {:?} spent after {} probes in {} passes",
+                    self.cfg.selective.max_moves, r.moves_evaluated, r.iterations
+                ),
+            });
+        }
+        Ok(r)
+    }
+
+    /// Unroll `l` and vectorize the ops `part` selects, timed, with the
+    /// product verified at the boundary.
+    fn transform(&mut self, l: &Loop, part: &[bool]) -> Result<Loop, CompileError> {
+        let t0 = std::time::Instant::now();
+        let tr = try_transform(l, self.m, part);
+        self.stats.transform_ns += t0.elapsed().as_nanos() as u64;
+        let t = tr.map_err(|e| self.transform_err(l, e))?;
+        self.verify_boundary(&t.looop, Pass::Transform)?;
+        Ok(t.looop)
+    }
+
+    /// Build a segment from a main loop and the scalar form covering its
+    /// remainder iterations. The main loop is modulo scheduled — or takes
+    /// the oracle's `witness` schedule, which passes the same validation —
+    /// and gets rotating registers from the same dependence graph.
+    fn segment(
+        &mut self,
+        main: Loop,
+        witness: Option<Schedule>,
+        scalar_form: &Loop,
+    ) -> Result<Segment, CompileError> {
+        let t0 = std::time::Instant::now();
+        let g = DepGraph::build(&main);
+        let schedule = self.schedule(&main, &g, witness)?;
+        let registers = allocate_rotating(&main, &g, self.m, &schedule).ok();
+        self.stats.schedule_ns += t0.elapsed().as_nanos() as u64;
+        let cleanup = if needs_cleanup(&main) {
+            let mut c = scalar_form.clone();
+            c.name = format!("{}.cleanup", scalar_form.name);
+            let t0 = std::time::Instant::now();
+            let cs = self.schedule(&c, &DepGraph::build(&c), None)?;
+            self.stats.schedule_ns += t0.elapsed().as_nanos() as u64;
+            Some((c, cs))
+        } else {
+            None
+        };
+        Ok(Segment { looop: main, schedule, registers, cleanup })
+    }
+
+    /// Schedule one loop under the budget (or accept `witness`), validate
+    /// the result at the boundary and record the scheduler's search
+    /// effort and register pressure.
+    fn schedule(
+        &mut self,
+        looop: &Loop,
+        g: &DepGraph,
+        witness: Option<Schedule>,
+    ) -> Result<Schedule, CompileError> {
+        let s = match witness {
+            Some(s) => s,
+            None => modulo_schedule_with(looop, g, self.m, &self.cfg.schedule).map_err(
+                |error| CompileError::Schedule {
+                    strategy: self.strategy,
+                    looop: looop.name.clone(),
+                    error,
+                },
+            )?,
+        };
+        if self.cfg.verify_boundaries {
+            self.boundary_checks += 1;
+            validate_schedule(looop, g, self.m, &s).map_err(|error| {
+                CompileError::BoundaryValidate {
+                    strategy: self.strategy,
+                    looop: looop.name.clone(),
+                    error,
+                    dump: looop.to_string(),
+                }
+            })?;
+        }
+        self.stats.schedules += 1;
+        self.stats.iis_tried.extend_from_slice(&s.iis_tried);
+        for (slot, &ml) in s.max_live.iter().enumerate() {
+            self.stats.max_live[slot] = self.stats.max_live[slot].max(ml);
+        }
+        Ok(s)
+    }
+
     /// Run the whole attempt for this strategy.
     fn run(&mut self, l: &Loop) -> Result<CompiledLoop, CompileError> {
         let m = self.m;
         let mut partition = None;
         let segments = match self.strategy {
-            Strategy::ModuloNoUnroll => {
-                vec![self.make_segment(l.clone(), l)?]
-            }
-            Strategy::ModuloOnly => {
-                let t0 = std::time::Instant::now();
-                let tr = try_transform(l, m, &vec![false; l.ops.len()]);
-                self.stats.transform_ns += t0.elapsed().as_nanos() as u64;
-                let t = tr.map_err(|e| self.transform_err(l, e))?;
-                self.verify_boundary(&t.looop, Pass::Transform)?;
-                vec![self.make_segment(t.looop, l)?]
+            Strategy::ModuloNoUnroll => vec![self.segment(l.clone(), None, l)?],
+            Strategy::ModuloOnly | Strategy::Widened => {
+                let widened = if self.strategy == Strategy::Widened {
+                    let t0 = std::time::Instant::now();
+                    let w = try_widened_window_transform(l, m, m.vector_length + 1);
+                    self.stats.transform_ns += t0.elapsed().as_nanos() as u64;
+                    w.map_err(|e| self.transform_err(l, e))?
+                } else {
+                    None
+                };
+                let main = match widened {
+                    Some(w) => {
+                        self.verify_boundary(&w, Pass::Transform)?;
+                        w
+                    }
+                    // Modulo-only, and loops the widened window cannot
+                    // take: the unrolled all-scalar baseline.
+                    None => self.transform(l, &vec![false; l.ops.len()])?,
+                };
+                vec![self.segment(main, None, l)?]
             }
             Strategy::Full => {
                 let t0 = std::time::Instant::now();
-                let g = DepGraph::build(l);
-                let part = full_vectorization_partition(l, &g, m.vector_length);
-                let tr = try_transform(l, m, &part);
+                let part = full_vectorization_partition(l, &DepGraph::build(l), m.vector_length);
                 self.stats.transform_ns += t0.elapsed().as_nanos() as u64;
-                let t = tr.map_err(|e| self.transform_err(l, e))?;
-                self.verify_boundary(&t.looop, Pass::Transform)?;
-                vec![self.make_segment(t.looop, l)?]
+                let main = self.transform(l, &part)?;
+                vec![self.segment(main, None, l)?]
             }
-            Strategy::Selective => {
-                let t0 = std::time::Instant::now();
-                let g = DepGraph::build(l);
-                let r = partition_ops(l, &g, m, &self.cfg.selective);
-                self.stats.partition_ns += t0.elapsed().as_nanos() as u64;
-                self.stats.kl_passes = r.iterations;
-                self.stats.kl_probes = r.moves_evaluated;
-                self.stats.kl_moves = r.moves_committed;
-                self.stats.bin_packs = r.bin_packs;
-                if r.budget_exhausted {
-                    return Err(CompileError::BudgetExhausted {
-                        strategy: self.strategy,
-                        pass: Pass::Partition,
-                        looop: l.name.clone(),
-                        detail: format!(
-                            "KL move budget {:?} spent after {} probes in {} passes",
-                            self.cfg.selective.max_moves, r.moves_evaluated, r.iterations
-                        ),
-                    });
-                }
-                let t0 = std::time::Instant::now();
-                let tr = try_transform(l, m, &r.partition);
-                self.stats.transform_ns += t0.elapsed().as_nanos() as u64;
-                let t = tr.map_err(|e| self.transform_err(l, e))?;
-                self.verify_boundary(&t.looop, Pass::Transform)?;
-                partition = Some(r);
-                vec![self.make_segment(t.looop, l)?]
-            }
-            Strategy::Optimal => {
-                // First the full selective pipeline: its result seeds the
-                // oracle as the incumbent and remains the delivered code
-                // when the proof closes on the incumbent itself.
-                let t0 = std::time::Instant::now();
-                let g = DepGraph::build(l);
-                let r = partition_ops(l, &g, m, &self.cfg.selective);
-                self.stats.partition_ns += t0.elapsed().as_nanos() as u64;
-                self.stats.kl_passes = r.iterations;
-                self.stats.kl_probes = r.moves_evaluated;
-                self.stats.kl_moves = r.moves_committed;
-                self.stats.bin_packs = r.bin_packs;
-                if r.budget_exhausted {
-                    return Err(CompileError::BudgetExhausted {
-                        strategy: self.strategy,
-                        pass: Pass::Partition,
-                        looop: l.name.clone(),
-                        detail: format!(
-                            "KL move budget {:?} spent after {} probes in {} passes",
-                            self.cfg.selective.max_moves, r.moves_evaluated, r.iterations
-                        ),
-                    });
-                }
-                let t0 = std::time::Instant::now();
-                let tr = try_transform(l, m, &r.partition);
-                self.stats.transform_ns += t0.elapsed().as_nanos() as u64;
-                let t = tr.map_err(|e| self.transform_err(l, e))?;
-                self.verify_boundary(&t.looop, Pass::Transform)?;
-                let incumbent = self.make_segment(t.looop, l)?;
-                // Then the complete branch-and-bound, seeded with the
-                // heuristic's achieved II as the incumbent bound.
-                let t0 = std::time::Instant::now();
-                let report = optimal_search(
-                    l,
-                    m,
-                    &r.partition,
-                    incumbent.schedule.ii,
-                    &OptimalConfig::default(),
-                );
-                self.stats.search_ns += t0.elapsed().as_nanos() as u64;
-                self.stats.search_nodes = report.stats.nodes;
-                self.stats.search_probe = report.probe_spent;
-                match report.outcome {
-                    OptimalOutcome::BudgetExhausted { best_found } => {
-                        return Err(CompileError::BudgetExhausted {
-                            strategy: self.strategy,
-                            pass: Pass::Search,
-                            looop: l.name.clone(),
-                            detail: format!(
-                                "oracle budget spent ({} nodes, {} probe units) before \
-                                 the proof closed; best witnessed II {best_found}",
-                                report.stats.nodes, report.probe_spent
-                            ),
-                        });
-                    }
-                    OptimalOutcome::Proved(_) => match report.witness {
-                        // The oracle beat the incumbent: deliver its
-                        // witness partition and schedule.
-                        Some(w) => {
-                            self.verify_boundary(&w.looop, Pass::Transform)?;
-                            let seg =
-                                self.make_segment_with_schedule(w.looop, w.schedule, l)?;
-                            partition = Some(PartitionResult {
-                                partition: w.partition,
-                                cost: seg.schedule.resmii,
-                                ..r
-                            });
-                            vec![seg]
-                        }
-                        // The incumbent is proved optimal already.
-                        None => {
-                            partition = Some(r);
-                            vec![incumbent]
-                        }
-                    },
-                }
-            }
-            Strategy::Widened => {
-                let t0 = std::time::Instant::now();
-                let w = try_widened_window_transform(l, m, m.vector_length + 1);
-                self.stats.transform_ns += t0.elapsed().as_nanos() as u64;
-                let w = w.map_err(|e| self.transform_err(l, e))?;
-                match w {
-                    Some(w) => {
-                        self.verify_boundary(&w, Pass::Transform)?;
-                        vec![self.make_segment(w, l)?]
-                    }
-                    // Ineligible loops run as the unrolled baseline.
-                    None => {
-                        let t0 = std::time::Instant::now();
-                        let tr = try_transform(l, m, &vec![false; l.ops.len()]);
-                        self.stats.transform_ns += t0.elapsed().as_nanos() as u64;
-                        let t = tr.map_err(|e| self.transform_err(l, e))?;
-                        self.verify_boundary(&t.looop, Pass::Transform)?;
-                        vec![self.make_segment(t.looop, l)?]
-                    }
+            Strategy::Selective | Strategy::Optimal => {
+                let r = self.partition(l)?;
+                let main = self.transform(l, &r.partition)?;
+                let incumbent = self.segment(main, None, l)?;
+                if self.strategy == Strategy::Selective {
+                    partition = Some(r);
+                    vec![incumbent]
+                } else {
+                    // The selective result seeds the oracle as the
+                    // incumbent and remains the delivered code when the
+                    // proof closes on the incumbent itself.
+                    let (seg, p) = self.search(l, r, incumbent)?;
+                    partition = Some(p);
+                    vec![seg]
                 }
             }
             Strategy::Traditional => {
@@ -825,12 +731,49 @@ impl Attempt<'_> {
                     let scalar_form = dl.scalar_form;
                     let main = dl.vectorized.unwrap_or_else(|| scalar_form.clone());
                     self.verify_boundary(&main, Pass::Transform)?;
-                    segs.push(self.make_segment(main, &scalar_form)?);
+                    segs.push(self.segment(main, None, &scalar_form)?);
                 }
                 segs
             }
         };
         Ok(CompiledLoop { strategy: self.strategy, source: l.clone(), segments, partition })
+    }
+
+    /// The complete branch-and-bound, seeded with the selective
+    /// incumbent's achieved II as the bound. Delivers the oracle's witness
+    /// partition and schedule when it beats the incumbent, else the
+    /// incumbent, which the proof has then certified optimal.
+    fn search(
+        &mut self,
+        l: &Loop,
+        r: PartitionResult,
+        incumbent: Segment,
+    ) -> Result<(Segment, PartitionResult), CompileError> {
+        let t0 = std::time::Instant::now();
+        let ii = incumbent.schedule.ii;
+        let report = optimal_search(l, self.m, &r.partition, ii, &OptimalConfig::default());
+        self.stats.search_ns += t0.elapsed().as_nanos() as u64;
+        self.stats.search_nodes = report.stats.nodes;
+        self.stats.search_probe = report.probe_spent;
+        if let OptimalOutcome::BudgetExhausted { best_found } = report.outcome {
+            return Err(CompileError::BudgetExhausted {
+                strategy: self.strategy,
+                pass: Pass::Search,
+                looop: l.name.clone(),
+                detail: format!(
+                    "oracle budget spent ({} nodes, {} probe units) before \
+                     the proof closed; best witnessed II {best_found}",
+                    report.stats.nodes, report.probe_spent
+                ),
+            });
+        }
+        let Some(w) = report.witness else {
+            return Ok((incumbent, r));
+        };
+        self.verify_boundary(&w.looop, Pass::Transform)?;
+        let seg = self.segment(w.looop, Some(w.schedule), l)?;
+        let p = PartitionResult { partition: w.partition, cost: seg.schedule.resmii, ..r };
+        Ok((seg, p))
     }
 }
 
@@ -852,8 +795,8 @@ fn payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Compile `l` for machine `m` under the hardened driver: typed errors,
-/// pass-boundary verification, deterministic budgets, graceful strategy
-/// degradation, and panic containment, per [`DriverConfig`].
+/// pass-boundary verification, deterministic budgets and graceful strategy
+/// degradation per [`DriverConfig`], and unconditional panic containment.
 ///
 /// The returned [`CompilationReport`] carries the [`PassStats`] of the
 /// delivered attempt: per-pass wall time, partitioner search effort,
@@ -895,18 +838,14 @@ pub fn compile_checked(
         let mut attempt =
             Attempt { m, cfg, strategy, boundary_checks: 0, stats: PassStats::default() };
         let attempt_start = std::time::Instant::now();
-        let result = if cfg.catch_panics {
-            match catch_unwind(AssertUnwindSafe(|| attempt.run(l))) {
-                Ok(r) => r,
-                Err(payload) => Err(CompileError::Internal {
-                    strategy,
-                    looop: l.name.clone(),
-                    payload: payload_string(payload),
-                    dump: l.to_string(),
-                }),
-            }
-        } else {
-            attempt.run(l)
+        let result = match catch_unwind(AssertUnwindSafe(|| attempt.run(l))) {
+            Ok(r) => r,
+            Err(payload) => Err(CompileError::Internal {
+                strategy,
+                looop: l.name.clone(),
+                payload: payload_string(payload),
+                dump: l.to_string(),
+            }),
         };
         report.boundary_checks += attempt.boundary_checks;
         match result {

@@ -44,7 +44,5 @@ pub use driver::{
     PassStats,
 };
 pub use optimal::{optimal_search, OptimalConfig, OptimalReport, OptimalWitness};
-pub use partition::{
-    partition_ops, partition_ops_with_legality, PartitionResult, SelectiveConfig,
-};
+pub use partition::{partition_ops, PartitionResult, SelectiveConfig};
 pub use pipeline::{compile, compile_with, CompiledLoop, Segment, Strategy};

@@ -336,51 +336,7 @@ pub fn partition_ops(
     cfg: &SelectiveConfig,
 ) -> PartitionResult {
     let statuses = vectorizable_ops(l, g, m.vector_length);
-    partition_ops_with_legality(l, g, m, cfg, &statuses)
-}
-
-/// Which operations may be assigned to the vector partition: legally
-/// vectorizable AND executable by this machine's vector resources.
-///
-/// An op is movable when the machine can actually execute its vector form
-/// (and the realignment merge it would need): a machine without vector or
-/// merge units pins everything scalar instead of panicking in the bin
-/// packer. Merge capacity is only demanded when the op can actually be
-/// misaligned under the active alignment policy — a merge-less machine
-/// with `AssumeAligned` (or statically aligned refs) still vectorizes its
-/// memory operations. Shared by the KL partitioner and the optimal-II
-/// oracle so both search the same assignment space.
-pub(crate) fn movable_ops(
-    l: &Loop,
-    m: &MachineConfig,
-    statuses: &[VecStatus],
-) -> Vec<bool> {
-    let pool = m.resource_pool();
-    let machine_supports = |i: usize| -> bool {
-        let op = &l.ops[i];
-        let vopc = op.opcode.with_form(VectorForm::Vector);
-        let mut reqs = m.requirements(vopc);
-        if op.opcode.kind.is_mem() && op_misaligned(l, m, op) {
-            reqs.extend(m.requirements(sv_ir::Opcode::vector(OpKind::Merge, op.opcode.ty)));
-        }
-        reqs.iter().all(|r| pool.capacity(r.class) > 0)
-    };
-    statuses
-        .iter()
-        .enumerate()
-        .map(|(i, s)| s.is_vectorizable() && machine_supports(i))
-        .collect()
-}
-
-/// [`partition_ops`] with a precomputed legality vector.
-pub fn partition_ops_with_legality(
-    l: &Loop,
-    g: &DepGraph,
-    m: &MachineConfig,
-    cfg: &SelectiveConfig,
-    statuses: &[VecStatus],
-) -> PartitionResult {
-    let movable = movable_ops(l, m, statuses);
+    let movable = movable_ops(l, m, &statuses);
     let model = CostModel::new(l, g, m, cfg);
 
     // Kernighan–Lin is a local search; seed it from both extremes — the
@@ -416,6 +372,39 @@ pub fn partition_ops_with_legality(
         };
     }
     best
+}
+
+/// Which operations may be assigned to the vector partition: legally
+/// vectorizable AND executable by this machine's vector resources.
+///
+/// An op is movable when the machine can actually execute its vector form
+/// (and the realignment merge it would need): a machine without vector or
+/// merge units pins everything scalar instead of panicking in the bin
+/// packer. Merge capacity is only demanded when the op can actually be
+/// misaligned under the active alignment policy — a merge-less machine
+/// with `AssumeAligned` (or statically aligned refs) still vectorizes its
+/// memory operations. Shared by the KL partitioner and the optimal-II
+/// oracle so both search the same assignment space.
+pub(crate) fn movable_ops(
+    l: &Loop,
+    m: &MachineConfig,
+    statuses: &[VecStatus],
+) -> Vec<bool> {
+    let pool = m.resource_pool();
+    let machine_supports = |i: usize| -> bool {
+        let op = &l.ops[i];
+        let vopc = op.opcode.with_form(VectorForm::Vector);
+        let mut reqs = m.requirements(vopc);
+        if op.opcode.kind.is_mem() && op_misaligned(l, m, op) {
+            reqs.extend(m.requirements(sv_ir::Opcode::vector(OpKind::Merge, op.opcode.ty)));
+        }
+        reqs.iter().all(|r| pool.capacity(r.class) > 0)
+    };
+    statuses
+        .iter()
+        .enumerate()
+        .map(|(i, s)| s.is_vectorizable() && machine_supports(i))
+        .collect()
 }
 
 /// One full Kernighan–Lin descent (Figure 2 lines 1–20) from `start`,

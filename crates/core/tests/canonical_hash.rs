@@ -173,7 +173,6 @@ fn key_changes_with_machine_and_every_driver_knob() {
             DriverConfig { verify_boundaries: !base.verify_boundaries, ..base.clone() },
         ),
         ("degrade", DriverConfig { degrade: !base.degrade, ..base.clone() }),
-        ("catch_panics", DriverConfig { catch_panics: !base.catch_panics, ..base.clone() }),
     ];
     for (knob, cfg) in variants {
         assert_ne!(
@@ -182,4 +181,26 @@ fn key_changes_with_machine_and_every_driver_knob() {
             "flipping `{knob}` must change the cache key"
         );
     }
+}
+
+/// The key of one fixed (loop, machine, config) triple, pinned as hex.
+/// Deployed disk tiers are addressed by these keys, so any change to the
+/// loop's canonical form, the machine spec or the config encoding that
+/// moves them must bump `KEY_SCHEMA` deliberately, never by accident.
+#[test]
+fn request_key_is_pinned_across_versions() {
+    let l = parse_loop(
+        "loop dot (trip 1000? x1 invocations, scale 1)
+  array @0 x : f64[1024] align 16
+  array @1 y : f64[1024] align 16
+  %0 = load.f64 @0[1*i+0]
+  %1 = load.f64 @1[1*i+0]
+  %2 = mul.f64 %0, %1
+  %3 = add.f64 [red] %3@-1, %2
+  liveout s = %3 (combine add)
+",
+    )
+    .expect("pinned loop parses");
+    let key = request_key(&l, &MachineConfig::paper_default(), &DriverConfig::default());
+    assert_eq!(key.to_string(), "5edbe1fbfcbdc5cd79b2de400f430dbb");
 }

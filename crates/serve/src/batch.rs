@@ -4,10 +4,10 @@
 //! Every connection is a registered **client** with its own FIFO
 //! sub-queue; one drainer thread serves them all:
 //!
-//! * admission is **weighted-fair**: the global compile weight is capped
+//! * admission is **fair**: the global compile weight is capped
 //!   by [`BatchConfig::queue_cap`], and each registered client is capped
-//!   at its share of that capacity (share-weighted, never below one
-//!   slot), so a greedy connection fills only its own quota and is
+//!   at an equal share of that capacity (never below one slot), so a
+//!   greedy connection fills only its own quota and is
 //!   rejected with a typed [`ServeError::Overloaded`] — carrying a
 //!   `retry_after_ms` hint computed from live queue depth — while other
 //!   clients keep being admitted;
@@ -117,7 +117,7 @@ impl Default for BatchConfig {
 
 /// The shared always-registered client identity used by single-stream
 /// front-ends (stdio) and in-process callers. Registered at queue
-/// construction with share 1 and never removed, so a single-client
+/// construction and never removed, so a single-client
 /// batcher behaves exactly like the pre-multi-tenant one: its quota is
 /// the whole queue capacity.
 pub const DEFAULT_CLIENT: u64 = 0;
@@ -170,8 +170,6 @@ struct Item {
 /// One client's private FIFO sub-queue.
 struct ClientQ {
     items: VecDeque<Item>,
-    /// Fairness share while registered (≥ 1).
-    share: usize,
     /// Queued compile weight charged to this client.
     queued: usize,
     /// Live connections hold `true`; a deregistered client's entry
@@ -180,8 +178,8 @@ struct ClientQ {
 }
 
 impl ClientQ {
-    fn new(share: usize, registered: bool) -> ClientQ {
-        ClientQ { items: VecDeque::new(), share: share.max(1), queued: 0, registered }
+    fn new(registered: bool) -> ClientQ {
+        ClientQ { items: VecDeque::new(), queued: 0, registered }
     }
 }
 
@@ -197,8 +195,6 @@ struct Queue {
     rr_cursor: u64,
     /// Sum of queued [`Work::weight`]s across all clients.
     weight: usize,
-    /// Sum of registered clients' shares (the quota denominator).
-    share_total: usize,
     /// Set by `shutdown` or [`Batcher::close`]; stops admissions and
     /// flushes immediately.
     closed: bool,
@@ -207,7 +203,7 @@ struct Queue {
 impl Default for Queue {
     fn default() -> Queue {
         let mut clients = BTreeMap::new();
-        clients.insert(DEFAULT_CLIENT, ClientQ::new(1, true));
+        clients.insert(DEFAULT_CLIENT, ClientQ::new(true));
         Queue {
             clients,
             next_client: 1,
@@ -215,7 +211,6 @@ impl Default for Queue {
             // starts at the lowest client id.
             rr_cursor: u64::MAX,
             weight: 0,
-            share_total: 1,
             closed: false,
         }
     }
@@ -225,6 +220,12 @@ impl Queue {
     /// Items queued across every client.
     fn total_items(&self) -> usize {
         self.clients.values().map(|c| c.items.len()).sum()
+    }
+
+    /// Registered clients, the default one included: the quota
+    /// denominator.
+    fn registered(&self) -> usize {
+        self.clients.values().filter(|c| c.registered).count()
     }
 
     /// Clients with queued work, in round-robin order: ids above the
@@ -412,15 +413,13 @@ impl Batcher {
         self.submit_for(DEFAULT_CLIENT, request, out)
     }
 
-    /// Register a new client identity with the given fairness share
-    /// (clamped to ≥ 1) and return its id. Each TCP connection registers
-    /// on accept and deregisters on disconnect.
-    pub fn register_client(&self, share: usize) -> u64 {
+    /// Register a new client identity and return its id. Each TCP
+    /// connection registers on accept and deregisters on disconnect.
+    pub fn register_client(&self) -> u64 {
         let mut q = lock_recover(&self.inner.q);
         let id = q.next_client;
         q.next_client += 1;
-        q.share_total += share.max(1);
-        q.clients.insert(id, ClientQ::new(share, true));
+        q.clients.insert(id, ClientQ::new(true));
         id
     }
 
@@ -433,14 +432,9 @@ impl Batcher {
             return; // the shared identity is permanent
         }
         let mut q = lock_recover(&self.inner.q);
-        let freed = match q.clients.get_mut(&client) {
-            Some(c) if c.registered => {
-                c.registered = false;
-                c.share
-            }
-            _ => 0,
-        };
-        q.share_total -= freed;
+        if let Some(c) = q.clients.get_mut(&client) {
+            c.registered = false;
+        }
         q.prune(client);
     }
 
@@ -460,6 +454,8 @@ impl Batcher {
     /// [`ServeError::Overloaded`] when the queue is at capacity or the
     /// client's fair-share quota is exhausted (the error carries a
     /// `retry_after_ms` hint computed from live queue depth),
+    /// [`ServeError::BadRequest`] for a batch heavier than the whole
+    /// queue (it could never be admitted, so retrying it is futile),
     /// [`ServeError::DeadlineExceeded`] when the request's deadline is
     /// already expired at admission, [`ServeError::ShuttingDown`] after
     /// shutdown/close. The caller reports these to the client itself —
@@ -490,6 +486,14 @@ impl Batcher {
         }
         let w = work.weight();
         let cap = self.inner.cfg.queue_cap;
+        if w > cap {
+            return Err(ServeError::BadRequest {
+                message: format!(
+                    "batch of {w} requests exceeds queue_cap {cap} and can never be \
+                     admitted; split it into batches of at most {cap}"
+                ),
+            });
+        }
         let mut q = lock_recover(&self.inner.q);
         if q.closed {
             return Err(ServeError::ShuttingDown);
@@ -499,7 +503,7 @@ impl Batcher {
             self.inner.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::Overloaded { cap, retry_after_ms: hint });
         }
-        let share_total = q.share_total.max(1);
+        let registered = q.registered().max(1);
         let Some(c) = q.clients.get_mut(&client) else {
             return Err(ServeError::Internal {
                 message: format!("client {client} is not registered"),
@@ -510,9 +514,9 @@ impl Batcher {
                 message: format!("client {client} has deregistered"),
             });
         }
-        // Fair share of the capacity, weighted by this client's share
-        // and never below one slot so light clients always get in.
-        let quota = (cap * c.share / share_total).max(1);
+        // An equal share of the capacity, never below one slot so light
+        // clients always get in.
+        let quota = (cap / registered).max(1);
         if c.queued + w > quota {
             self.inner.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::Overloaded { cap: quota, retry_after_ms: hint });
@@ -877,8 +881,7 @@ fn drain(inner: &Inner) {
 fn metrics_object(inner: &Inner) -> String {
     let (depth, weight, clients) = {
         let q = lock_recover(&inner.q);
-        let registered = q.clients.values().filter(|c| c.registered).count();
-        (q.total_items(), q.weight, registered)
+        (q.total_items(), q.weight, q.registered())
     };
     let ledger = lock_recover(&inner.in_flight).len();
     let qs = inner.stats();
@@ -915,7 +918,7 @@ fn requeue_in_flight(inner: &Inner) -> u64 {
         let c = q
             .clients
             .entry(item.client)
-            .or_insert_with(|| ClientQ::new(1, false));
+            .or_insert_with(|| ClientQ::new(false));
         c.queued += w;
         c.items.push_front(item);
     }
@@ -1093,10 +1096,9 @@ mod tests {
             svc,
             BatchConfig { batch_max: 64, flush_ms: 60_000, queue_cap: 9, jobs: 1 },
         );
-        let greedy = b.register_client(1);
-        let light = b.register_client(1);
-        // Default client (share 1) + two registered: share_total = 3, so
-        // each client's quota is 9/3 = 3.
+        let greedy = b.register_client();
+        let light = b.register_client();
+        // Default client + two registered: each client's quota is 9/3 = 3.
         let (sink, _buf) = buffer();
         let mut reqs = suite_requests(9).into_iter();
         for _ in 0..3 {
@@ -1126,8 +1128,8 @@ mod tests {
             svc,
             BatchConfig { batch_max: 64, flush_ms: 60_000, queue_cap: 64, jobs: 1 },
         );
-        let a = b.register_client(1);
-        let c = b.register_client(1);
+        let a = b.register_client();
+        let c = b.register_client();
         let (sink, buf) = buffer();
         let mut reqs = suite_requests(8).into_iter();
         // Client a gets ids 0..4 first, then client c gets ids 4..8: a
@@ -1166,18 +1168,22 @@ mod tests {
             svc,
             BatchConfig { batch_max: 64, flush_ms: 60_000, queue_cap: 8, jobs: 1 },
         );
-        let a = b.register_client(3);
-        // default(1) + a(3): quota for default is 8*1/4 = 2.
+        let a = b.register_client();
+        let _c = b.register_client();
+        // default + a + c: quota for default is 8/3 = 2.
         let (sink, _buf) = buffer();
-        let mut reqs = suite_requests(6).into_iter();
+        let mut reqs = suite_requests(7).into_iter();
         b.submit(reqs.next().unwrap(), Arc::clone(&sink)).unwrap();
         b.submit(reqs.next().unwrap(), Arc::clone(&sink)).unwrap();
         let e = b.submit(reqs.next().unwrap(), Arc::clone(&sink)).unwrap_err();
         assert!(matches!(e, ServeError::Overloaded { cap: 2, .. }));
-        // After a disconnects, the default client has the queue to
-        // itself again (quota 8) and submitting as a is refused.
+        // After a disconnects, its slot is freed: default + c share the
+        // queue (quota 8/2 = 4) and submitting as a is refused.
         b.deregister_client(a);
         b.submit(reqs.next().unwrap(), Arc::clone(&sink)).unwrap();
+        b.submit(reqs.next().unwrap(), Arc::clone(&sink)).unwrap();
+        let e = b.submit(reqs.next().unwrap(), Arc::clone(&sink)).unwrap_err();
+        assert!(matches!(e, ServeError::Overloaded { cap: 4, .. }), "{e:?}");
         let e = b.submit_for(a, reqs.next().unwrap(), Arc::clone(&sink)).unwrap_err();
         assert!(matches!(e, ServeError::Internal { .. }), "{e:?}");
         b.close();

@@ -2,7 +2,7 @@
 //!
 //! Serves the newline-delimited JSON protocol (see `sv_serve::proto`)
 //! over stdin/stdout by default, or over TCP with `--tcp ADDR` (a
-//! multi-client accept loop: every connection gets its own weighted-fair
+//! multi-client accept loop: every connection gets its own fair-share
 //! client identity, bounded by `--max-clients`). Every request flows
 //! through the bounded batching queue onto the deterministic worker
 //! pool, fronted by the two-tier compilation cache. A request line over

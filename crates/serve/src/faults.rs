@@ -15,7 +15,7 @@
 //! | drainer | panic before/mid-batch | supervisor respawn + exactly-once re-queue |
 //! | stall | drainer sleeps before an action | deadline verdicts, `overloaded` backpressure |
 //! | connection | response dropped on the client path | retrying client ([`crate::client`]) |
-//! | burst | one client floods a burst of extra submissions | weighted-fair admission, typed `overloaded` + `retry_after_ms` |
+//! | burst | one client floods a burst of extra submissions | fair admission, typed `overloaded` + `retry_after_ms` |
 //!
 //! Probabilities default to zero: a default plan injects nothing, and a
 //! plan-free server pays only an `Option` check per site.

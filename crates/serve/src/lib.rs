@@ -11,7 +11,7 @@
 //!   taxonomy, and the wire renderings;
 //! * [`service`] — decode → [`sv_core::compile_cached`] → canonical body;
 //! * [`batch`] — the bounded multi-tenant queue and its *supervised*
-//!   batching drainer: per-client weighted-fair admission, round-robin
+//!   batching drainer: per-client fair admission, round-robin
 //!   drain, per-entry panic isolation, exactly-once response accounting
 //!   across drainer deaths;
 //! * [`server`] — the multi-client TCP front door: per-connection

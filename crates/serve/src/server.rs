@@ -1,7 +1,7 @@
 //! The multi-client TCP front door.
 //!
 //! Each accepted connection registers its own client identity with the
-//! batcher (weighted-fair admission, round-robin service — see
+//! batcher (fair admission, round-robin service — see
 //! [`crate::batch`]) and gets a dedicated reader thread; responses are
 //! written back by the drainer through the connection's sink, in that
 //! connection's submission order. The accept loop and line reader are
@@ -106,7 +106,7 @@ impl Server {
                 // a failed clone drops this client only.
                 let Ok(writer) = stream.try_clone() else { return };
                 let sink: Sink = Arc::new(Mutex::new(writer));
-                let client = b.register_client(1);
+                let client = b.register_client();
                 wire::serve_conn(
                     &stream,
                     || b.is_closed(),

@@ -52,8 +52,8 @@ fn run_scenario(jobs: usize) -> (Vec<String>, u64, u64) {
     let b = Arc::new(Batcher::new(svc, cfg));
     // Three identities share the capacity: the permanent default client
     // plus these two, so each quota is max(1, 8/3) = 2 slots.
-    let flood_id = b.register_client(1);
-    let trickle_id = b.register_client(1);
+    let flood_id = b.register_client();
+    let trickle_id = b.register_client();
 
     let flood_b = Arc::clone(&b);
     let flood = std::thread::spawn(move || {
