@@ -11,6 +11,10 @@ JOBS="$(nproc 2>/dev/null || echo 1)"
 cargo build --release --workspace
 cargo test --workspace
 cargo clippy --workspace --all-targets -- -D warnings
+# svbench is a workspace of its own that reaches the compiler, simulator
+# and server crates by path: build and test it here so a public-API change
+# those crates make cannot break the benchmark unnoticed.
+cargo test --release --manifest-path svbench/Cargo.toml
 # The fuzzer sweeps every generator profile per seed — including the
 # `predicated` profile (dense if-converted cmp+select chains), so each
 # fuzz block below is also a 100+-seed predicated sweep.

@@ -27,8 +27,8 @@
 //! The historical [`crate::compile`] / [`crate::compile_with`] entry
 //! points are thin wrappers over this driver with default settings.
 
-use crate::optimal::{optimal_search, OptimalConfig};
-use crate::partition::{partition_ops, PartitionResult, SelectiveConfig};
+use crate::optimal::{search, OptimalConfig};
+use crate::partition::{kl_partition, PartitionResult, Prices, SelectiveConfig};
 use crate::pipeline::{CompiledLoop, Segment, Strategy};
 use sv_analysis::OptimalOutcome;
 use std::fmt;
@@ -434,8 +434,10 @@ pub struct CompilationReport {
     pub stats: PassStats,
 }
 
-/// Minimal JSON string escape (quotes, backslashes, control characters).
-pub(crate) fn json_escape(s: &str) -> String {
+/// Minimal JSON string escape (quotes, backslashes, control characters)
+/// — the one the cache's result renderer and the serving layer's writers
+/// share.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -572,10 +574,13 @@ impl Attempt<'_> {
 
     /// The Kernighan–Lin selective partition of `l`, timed, with the
     /// partitioner's search effort recorded and its move budget enforced.
-    fn partition(&mut self, l: &Loop) -> Result<PartitionResult, CompileError> {
+    /// Also returns the dependence graph and price list it was built on,
+    /// which the oracle's search reuses.
+    fn partition(&mut self, l: &Loop) -> Result<(PartitionResult, DepGraph, Prices), CompileError> {
         let t0 = std::time::Instant::now();
         let g = DepGraph::build(l);
-        let r = partition_ops(l, &g, self.m, &self.cfg.selective);
+        let prices = Prices::new(l, &g, self.m);
+        let r = kl_partition(l, self.m, &prices, &self.cfg.selective);
         self.stats.partition_ns += t0.elapsed().as_nanos() as u64;
         self.stats.kl_passes = r.iterations;
         self.stats.kl_probes = r.moves_evaluated;
@@ -592,7 +597,7 @@ impl Attempt<'_> {
                 ),
             });
         }
-        Ok(r)
+        Ok((r, g, prices))
     }
 
     /// Unroll `l` and vectorize the ops `part` selects, timed, with the
@@ -706,7 +711,7 @@ impl Attempt<'_> {
                 vec![self.segment(main, None, l)?]
             }
             Strategy::Selective | Strategy::Optimal => {
-                let r = self.partition(l)?;
+                let (r, g, prices) = self.partition(l)?;
                 let main = self.transform(l, &r.partition)?;
                 let incumbent = self.segment(main, None, l)?;
                 if self.strategy == Strategy::Selective {
@@ -716,7 +721,7 @@ impl Attempt<'_> {
                     // The selective result seeds the oracle as the
                     // incumbent and remains the delivered code when the
                     // proof closes on the incumbent itself.
-                    let (seg, p) = self.search(l, r, incumbent)?;
+                    let (seg, p) = self.search(l, &g, &prices, r, incumbent)?;
                     partition = Some(p);
                     vec![seg]
                 }
@@ -746,12 +751,15 @@ impl Attempt<'_> {
     fn search(
         &mut self,
         l: &Loop,
+        g: &DepGraph,
+        prices: &Prices,
         r: PartitionResult,
         incumbent: Segment,
     ) -> Result<(Segment, PartitionResult), CompileError> {
         let t0 = std::time::Instant::now();
         let ii = incumbent.schedule.ii;
-        let report = optimal_search(l, self.m, &r.partition, ii, &OptimalConfig::default());
+        let cfg = OptimalConfig::default();
+        let report = search(l, self.m, g, prices, &r.partition, ii, &cfg);
         self.stats.search_ns += t0.elapsed().as_nanos() as u64;
         self.stats.search_nodes = report.stats.nodes;
         self.stats.search_probe = report.probe_spent;

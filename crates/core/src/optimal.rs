@@ -12,10 +12,12 @@
 //! (the generic engine lives in `sv_analysis::optimal`; this module is the
 //! problem instance):
 //!
-//! * **Nodes** are partial assignments over the movable ops — the same
-//!   legality screen ([`crate::partition`]'s `movable_ops`) the KL
-//!   partitioner uses, so both searches cover the same space. Non-movable
-//!   ops are pinned scalar.
+//! * **Nodes** are partial assignments over the movable ops. The oracle
+//!   prices a split from the same per-op price list as the KL
+//!   partitioner ([`crate::partition`]'s `Prices`: reservations,
+//!   realignment merges, transfers and the legality screen), so both
+//!   searches cover the same space at the same prices. Non-movable ops
+//!   are pinned scalar.
 //! * **Lower bound** — the maximum of two sound, partition-independent-or
 //!   monotone bounds:
 //!   1. a *filtered-choice resource bound*: the smallest II where every
@@ -36,7 +38,8 @@
 //!      covers `k` original iterations) to an II of at least
 //!      `⌈k·L/D⌉` in **every** partition, because vector latencies equal
 //!      scalar latencies and the cycle's dataflow survives both unrolling
-//!      and vectorization.
+//!      and vectorization. It is `sv_modsched`'s RecMII computation with
+//!      every delay scaled by `k` ([`sv_modsched::recurrence_bound`]).
 //! * **Leaves** are complete partitions: the real transformer
 //!   ([`sv_vectorize::try_transform`]) builds the transformed loop, and
 //!   the exact modulo-schedule feasibility probe
@@ -53,14 +56,15 @@
 //! oracle certifies the best *deliverable* II, the same space the driver
 //! can actually compile.
 
-use crate::partition::{movable_ops, op_misaligned};
+use crate::partition::Prices;
 use sv_analysis::{
-    branch_and_bound, vectorizable_ops, BnbProblem, DepGraph, DepKind, LeafEval, NodeBudget,
-    OptimalOutcome, SearchStats,
+    branch_and_bound, BnbProblem, DepGraph, LeafEval, NodeBudget, OptimalOutcome, SearchStats,
 };
-use sv_ir::{Loop, OpKind, Opcode, VectorForm};
-use sv_machine::{MachineConfig, Reservation, ResourceClass, TransferDirection};
-use sv_modsched::{compute_mii, exact_schedule, ExactOutcome, ProbeBudget, Schedule};
+use sv_ir::Loop;
+use sv_machine::{MachineConfig, Reservation, ResourceClass};
+use sv_modsched::{
+    compute_mii, exact_schedule, recurrence_bound, ExactOutcome, ProbeBudget, Schedule,
+};
 use sv_vectorize::try_transform;
 
 /// Deterministic effort limits for one oracle run.
@@ -164,12 +168,6 @@ fn class_cycles(reqs: &[Reservation]) -> [u64; NC] {
     out
 }
 
-/// The longest single reservation in the list (a reservation spanning more
-/// than II cycles wraps the reservation table onto itself — infeasible).
-fn max_reservation(reqs: &[Reservation]) -> u64 {
-    reqs.iter().map(|r| u64::from(r.cycles)).max().unwrap_or(0)
-}
-
 /// The branch-and-bound problem instance over one loop × machine.
 struct Oracle<'a> {
     l: &'a Loop,
@@ -182,14 +180,13 @@ struct Oracle<'a> {
     /// The incumbent's assignment, used as each node's first child so the
     /// dive reaches the heuristic leaf before anything else.
     guide: Vec<bool>,
-    /// Register-dataflow consumers per op (excluding self-loops).
-    consumers: Vec<Vec<usize>>,
+    /// The loop's price list; the footprints below are its reservations
+    /// summed per resource group.
+    prices: &'a Prices,
     /// Scalar-assignment footprint: `k` copies' cycles, per group.
     scalar_fp: Vec<[u64; NG]>,
-    scalar_max_res: Vec<u64>,
     /// Vector-assignment footprint (with realignment merge), movable only.
     vector_fp: Vec<Option<[u64; NG]>>,
-    vector_max_res: Vec<u64>,
     /// Transfer footprints for this op's value: `[scalar→vector,
     /// vector→scalar]`, charged once at the producer.
     comm_fp: Vec<[[u64; NG]; 2]>,
@@ -204,12 +201,12 @@ impl<'a> Oracle<'a> {
         l: &'a Loop,
         m: &'a MachineConfig,
         g: &DepGraph,
-        movable: &[bool],
+        prices: &'a Prices,
         guide: Vec<bool>,
         probe_budget: u64,
     ) -> Oracle<'a> {
         let pool = m.resource_pool();
-        let k = m.vector_length;
+        let k = u64::from(m.vector_length);
         let caps: [u64; NC] = {
             let mut caps = [0u64; NC];
             for (slot, &c) in ResourceClass::ALL.iter().enumerate() {
@@ -225,88 +222,54 @@ impl<'a> Oracle<'a> {
             }
         }
         let overhead = group_sums(&overhead_classes);
-        let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); l.ops.len()];
-        for e in g.edges() {
-            if e.is_mem || e.src == e.dst {
-                continue;
-            }
-            if !consumers[e.src.index()].contains(&e.dst.index()) {
-                consumers[e.src.index()].push(e.dst.index());
-            }
-        }
-        let mut scalar_fp = Vec::with_capacity(l.ops.len());
-        let mut scalar_max_res = Vec::with_capacity(l.ops.len());
-        let mut vector_fp = Vec::with_capacity(l.ops.len());
-        let mut vector_max_res = Vec::with_capacity(l.ops.len());
-        let mut comm_fp = Vec::with_capacity(l.ops.len());
-        for (i, op) in l.ops.iter().enumerate() {
-            let sreqs = m.requirements(op.opcode);
-            let mut sc = class_cycles(&sreqs);
-            for c in sc.iter_mut() {
-                *c *= u64::from(k);
-            }
-            scalar_fp.push(group_sums(&sc));
-            scalar_max_res.push(max_reservation(&sreqs));
-            if movable[i] {
-                let vopc = op.opcode.with_form(VectorForm::Vector);
-                let mut vreqs = m.requirements(vopc);
-                if op.opcode.kind.is_mem() && op_misaligned(l, m, op) {
-                    vreqs.extend(m.requirements(Opcode::vector(OpKind::Merge, op.opcode.ty)));
-                }
-                vector_fp.push(Some(group_sums(&class_cycles(&vreqs))));
-                vector_max_res.push(max_reservation(&vreqs));
-            } else {
-                vector_fp.push(None);
-                vector_max_res.push(0);
-            }
-            let seq = |dir| -> [u64; NG] {
-                let reqs: Vec<Reservation> = m
-                    .comm
-                    .transfer_opcodes(dir, op.opcode.ty, k)
-                    .iter()
-                    .flat_map(|opc| m.requirements(*opc))
-                    .collect();
-                group_sums(&class_cycles(&reqs))
-            };
-            comm_fp.push([
-                seq(TransferDirection::ScalarToVector),
-                seq(TransferDirection::VectorToScalar),
-            ]);
-        }
+        let scalar_fp: Vec<[u64; NG]> = prices
+            .scalar
+            .iter()
+            .map(|reqs| group_sums(&class_cycles(reqs).map(|c| c * k)))
+            .collect();
+        let vector_fp: Vec<Option<[u64; NG]>> = prices
+            .vector
+            .iter()
+            .zip(&prices.movable)
+            .map(|(reqs, &mv)| mv.then(|| group_sums(&class_cycles(reqs))))
+            .collect();
+        let comm_fp = prices
+            .comm
+            .iter()
+            .map(|dirs| dirs.each_ref().map(|reqs| group_sums(&class_cycles(reqs))))
+            .collect();
         // Branch order: decide the ops whose two assignments differ most
         // first — they move the bound furthest, so mistakes prune early.
-        let mut order: Vec<usize> = (0..l.ops.len()).filter(|&i| movable[i]).collect();
+        let mut order: Vec<usize> = (0..l.ops.len()).filter(|&i| prices.movable[i]).collect();
         let spread = |i: usize| -> u64 {
             let v = vector_fp[i].expect("movable op has a vector footprint");
             scalar_fp[i].iter().zip(&v).map(|(&s, &vc)| s.abs_diff(vc)).sum()
         };
         order.sort_by_key(|&i| (std::cmp::Reverse(spread(i)), i));
 
-        let rec_lb = global_recurrence_lb(l, g, m);
         Oracle {
             l,
             m,
+            prices,
             group_caps,
             overhead,
             order,
             guide,
-            consumers,
             scalar_fp,
-            scalar_max_res,
             vector_fp,
-            vector_max_res,
             comm_fp,
-            rec_lb,
+            rec_lb: recurrence_bound(l, g, m, m.vector_length),
             probe: ProbeBudget::new(probe_budget),
             witness: None,
         }
     }
 
-    /// Whether one assignment's reservations can fit an II at all, on
-    /// their own: no single reservation wraps, and no group needs more
-    /// than `II × capacity` cycles.
-    fn fits_alone(&self, fp: &[u64; NG], max_res: u64, ii: u64) -> bool {
-        max_res <= ii
+    /// Whether one assignment's reservations `reqs` (footprint `fp`) can
+    /// fit an II at all, on their own: no single reservation wraps the
+    /// reservation table onto itself, and no group needs more than
+    /// `II × capacity` cycles.
+    fn fits_alone(&self, fp: &[u64; NG], reqs: &[Reservation], ii: u64) -> bool {
+        reqs.iter().all(|r| u64::from(r.cycles) <= ii)
             && fp.iter().zip(&self.group_caps).all(|(&c, &cap)| {
                 if cap == 0 {
                     c == 0
@@ -325,7 +288,7 @@ impl<'a> Oracle<'a> {
             // Transfers already forced by decided producer/consumer pairs
             // are part of the producer's assignment footprint.
             let consumer_decided = |want: bool| {
-                defines && self.consumers[i].iter().any(|&c| node[c] == Some(want))
+                defines && self.prices.consumers[i].iter().any(|&c| node[c.index()] == Some(want))
             };
             let scalar = |fp: &mut [u64; NG]| {
                 *fp = self.scalar_fp[i];
@@ -350,7 +313,7 @@ impl<'a> Oracle<'a> {
             match node[i] {
                 Some(false) => {
                     scalar(&mut sfp);
-                    if !self.fits_alone(&sfp, self.scalar_max_res[i], ii) {
+                    if !self.fits_alone(&sfp, &self.prices.scalar[i], ii) {
                         return false;
                     }
                     for (t, c) in totals.iter_mut().zip(&sfp) {
@@ -361,7 +324,7 @@ impl<'a> Oracle<'a> {
                     if !vector(&mut vfp) {
                         return false;
                     }
-                    if !self.fits_alone(&vfp, self.vector_max_res[i], ii) {
+                    if !self.fits_alone(&vfp, &self.prices.vector[i], ii) {
                         return false;
                     }
                     for (t, c) in totals.iter_mut().zip(&vfp) {
@@ -370,9 +333,9 @@ impl<'a> Oracle<'a> {
                 }
                 None => {
                     scalar(&mut sfp);
-                    let s_ok = self.fits_alone(&sfp, self.scalar_max_res[i], ii);
+                    let s_ok = self.fits_alone(&sfp, &self.prices.scalar[i], ii);
                     let v_ok = vector(&mut vfp)
-                        && self.fits_alone(&vfp, self.vector_max_res[i], ii);
+                        && self.fits_alone(&vfp, &self.prices.vector[i], ii);
                     match (s_ok, v_ok) {
                         (false, false) => return false,
                         (true, false) => {
@@ -425,63 +388,6 @@ impl<'a> Oracle<'a> {
         }
         lo as u32
     }
-}
-
-/// The partition-independent recurrence bound on the transformed loop's
-/// II: for every source dependence cycle with delay `L` and distance `D`,
-/// steady-state throughput cannot exceed `D/L` iterations per cycle no
-/// matter how the ops are assigned (vector latencies equal scalar
-/// latencies), and the transformed loop retires `k` original iterations
-/// per kernel iteration — so `II ≥ ⌈k·L/D⌉`. Found by binary search over
-/// positive-cycle detection on `k·delay − II·distance` weights.
-fn global_recurrence_lb(l: &Loop, g: &DepGraph, m: &MachineConfig) -> u32 {
-    let k = i64::from(m.vector_length);
-    let edges: Vec<(usize, usize, i64, i64)> = g
-        .edges()
-        .iter()
-        .map(|e| {
-            let delay = if !e.is_mem || matches!(e.kind, DepKind::Flow) {
-                i64::from(m.latency(l.ops[e.src.index()].opcode))
-            } else if matches!(e.kind, DepKind::Anti) {
-                0
-            } else {
-                1
-            };
-            (e.src.index(), e.dst.index(), delay, i64::from(e.distance))
-        })
-        .collect();
-    let max_delay: i64 = edges.iter().map(|e| (k * e.2).max(0)).sum();
-    if max_delay == 0 || edges.is_empty() {
-        return 1;
-    }
-    let positive_cycle = |ii: i64| -> bool {
-        let n = l.ops.len();
-        let mut dist = vec![0i64; n];
-        for _ in 0..n {
-            let mut changed = false;
-            for &(s, d, delay, dd) in &edges {
-                let w = k * delay - ii * dd;
-                if dist[s] + w > dist[d] {
-                    dist[d] = dist[s] + w;
-                    changed = true;
-                }
-            }
-            if !changed {
-                return false;
-            }
-        }
-        true
-    };
-    let (mut lo, mut hi) = (1i64, max_delay.max(1));
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if positive_cycle(mid) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo as u32
 }
 
 impl BnbProblem for Oracle<'_> {
@@ -550,15 +456,28 @@ pub fn optimal_search(
     cfg: &OptimalConfig,
 ) -> OptimalReport {
     let g = DepGraph::build(l);
-    let statuses = vectorizable_ops(l, &g, m.vector_length);
-    let movable = movable_ops(l, m, &statuses);
+    search(l, m, &g, &Prices::new(l, &g, m), incumbent_partition, incumbent_ii, cfg)
+}
+
+/// [`optimal_search`] over the dependence graph and price list the caller
+/// already built (the compile driver's partition step).
+pub(crate) fn search(
+    l: &Loop,
+    m: &MachineConfig,
+    g: &DepGraph,
+    prices: &Prices,
+    incumbent_partition: &[bool],
+    incumbent_ii: u32,
+    cfg: &OptimalConfig,
+) -> OptimalReport {
+    let movable = &prices.movable;
     let guide: Vec<bool> = incumbent_partition
         .iter()
-        .zip(&movable)
+        .zip(movable)
         .map(|(&p, &mv)| p && mv)
         .collect();
     let movable_count = movable.iter().filter(|&&v| v).count() as u32;
-    let mut oracle = Oracle::new(l, m, &g, &movable, guide, cfg.probe_budget);
+    let mut oracle = Oracle::new(l, m, g, prices, guide, cfg.probe_budget);
     let root: Vec<Option<bool>> = movable
         .iter()
         .map(|&mv| if mv { None } else { Some(false) })

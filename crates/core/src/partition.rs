@@ -17,9 +17,9 @@
 //! committed move is followed by a fresh bin-packing, exactly as the paper
 //! describes.
 
-use sv_analysis::{vectorizable_ops, DepGraph, VecStatus};
-use sv_ir::{Loop, OpId, OpKind, VectorForm};
-use sv_machine::{AlignmentPolicy, CommModel, MachineConfig, TransferDirection};
+use sv_analysis::{vectorizable_ops, DepGraph};
+use sv_ir::{Loop, OpId, OpKind, Opcode, VectorForm};
+use sv_machine::{CommModel, MachineConfig, Reservation, TransferDirection};
 use sv_modsched::Bins;
 
 /// Tuning knobs for the partitioner, mirroring the paper's ablations.
@@ -88,37 +88,37 @@ pub struct PartitionResult {
     pub budget_exhausted: bool,
 }
 
-/// Everything the cost model bills for one operation in one partition.
-struct CostModel<'a> {
-    l: &'a Loop,
-    m: &'a MachineConfig,
-    cfg: &'a SelectiveConfig,
-    k: u32,
+/// The price list of one loop on one machine: what each source operation
+/// costs in either partition, and which operations may take the vector
+/// one. Built once per loop, it is the single source the KL partitioner's
+/// bin-packing, its legality screen and the optimal-II oracle's footprints
+/// all read, so the heuristic and the exact search price a split alike.
+pub(crate) struct Prices {
     /// Register-dataflow consumers of each op (excluding self-loops).
-    consumers: Vec<Vec<OpId>>,
+    pub(crate) consumers: Vec<Vec<OpId>>,
     /// Distinct producers of each op's operands (excluding self).
-    producers: Vec<Vec<OpId>>,
-    /// Cached reservation lists, one probe allocation saved per use:
-    /// the scalar opcode's requirements per op…
-    scalar_reqs: Vec<Vec<sv_machine::Reservation>>,
-    /// …the vector opcode's (with the realignment merge appended when the
-    /// op is a misaligned memory reference)…
-    vector_reqs: Vec<Vec<sv_machine::Reservation>>,
-    /// …and the transfer sequences per op value and direction
+    pub(crate) producers: Vec<Vec<OpId>>,
+    /// Each op's scalar opcode, once (a scalar op is billed `k` times).
+    pub(crate) scalar: Vec<Vec<Reservation>>,
+    /// Each op's vector opcode, with the realignment merge appended when
+    /// the op is a memory reference the machine deems misaligned
+    /// ([`MachineConfig::misaligned`]).
+    pub(crate) vector: Vec<Vec<Reservation>>,
+    /// The transfer sequences for each op's value, per direction
     /// (`[scalar→vector, vector→scalar]`).
-    comm_reqs: Vec<[Vec<sv_machine::Reservation>; 2]>,
-    /// Bin-packing order: most-constrained opcodes first, fixed up front
-    /// (partition flips barely move the ordering).
-    pack_order: Vec<usize>,
+    pub(crate) comm: Vec<[Vec<Reservation>; 2]>,
+    /// The legality screen: which ops may be assigned to the vector
+    /// partition. An op is movable when it is legally vectorizable and
+    /// the machine can execute its vector price — its vector form and the
+    /// realignment merge it would need. So a machine without vector or
+    /// merge units pins everything scalar instead of panicking in the bin
+    /// packer, while a merge-less machine under `AssumeAligned` (or with
+    /// statically aligned refs) still vectorizes its memory operations.
+    pub(crate) movable: Vec<bool>,
 }
 
-impl<'a> CostModel<'a> {
-    fn new(
-        l: &'a Loop,
-        g: &'a DepGraph,
-        m: &'a MachineConfig,
-        cfg: &'a SelectiveConfig,
-    ) -> CostModel<'a> {
+impl Prices {
+    pub(crate) fn new(l: &Loop, g: &DepGraph, m: &MachineConfig) -> Prices {
         let n = l.ops.len();
         let mut consumers = vec![Vec::new(); n];
         let mut producers = vec![Vec::new(); n];
@@ -133,27 +133,25 @@ impl<'a> CostModel<'a> {
                 producers[e.dst.index()].push(e.src);
             }
         }
-        let pool = m.resource_pool();
-        let scalar_reqs: Vec<_> = l.ops.iter().map(|o| m.requirements(o.opcode)).collect();
-        let vector_reqs: Vec<_> = l
+        let scalar = l.ops.iter().map(|o| m.requirements(o.opcode)).collect();
+        let vector: Vec<Vec<Reservation>> = l
             .ops
             .iter()
             .map(|o| {
-                let vopc = o.opcode.with_form(VectorForm::Vector);
-                let mut reqs = m.requirements(vopc);
-                if o.opcode.kind.is_mem() && op_misaligned(l, m, o) {
-                    reqs.extend(
-                        m.requirements(sv_ir::Opcode::vector(OpKind::Merge, o.opcode.ty)),
-                    );
+                let mut reqs = m.requirements(o.opcode.with_form(VectorForm::Vector));
+                let misaligned = o.opcode.kind.is_mem()
+                    && o.mem.as_ref().is_some_and(|r| m.misaligned(&l.arrays, r));
+                if misaligned {
+                    reqs.extend(m.requirements(Opcode::vector(OpKind::Merge, o.opcode.ty)));
                 }
                 reqs
             })
             .collect();
-        let comm_reqs: Vec<[Vec<sv_machine::Reservation>; 2]> = l
+        let comm = l
             .ops
             .iter()
             .map(|o| {
-                let seq = |dir| -> Vec<sv_machine::Reservation> {
+                let seq = |dir| -> Vec<Reservation> {
                     m.comm
                         .transfer_opcodes(dir, o.opcode.ty, m.vector_length)
                         .iter()
@@ -166,20 +164,42 @@ impl<'a> CostModel<'a> {
                 ]
             })
             .collect();
-        let mut pack_order: Vec<usize> = (0..n).collect();
+        let pool = m.resource_pool();
+        let movable = vectorizable_ops(l, g, m.vector_length)
+            .iter()
+            .zip(&vector)
+            .map(|(s, reqs)| {
+                s.is_vectorizable() && reqs.iter().all(|r| pool.capacity(r.class) > 0)
+            })
+            .collect();
+        Prices { consumers, producers, scalar, vector, comm, movable }
+    }
+}
+
+/// The KL partitioner's view of a price list: what it bills for one
+/// operation in one partition, and the order it bin-packs them in.
+struct CostModel<'a> {
+    l: &'a Loop,
+    m: &'a MachineConfig,
+    cfg: &'a SelectiveConfig,
+    prices: &'a Prices,
+    k: u32,
+    /// Bin-packing order: most-constrained opcodes first, fixed up front
+    /// (partition flips barely move the ordering).
+    pack_order: Vec<usize>,
+}
+
+impl<'a> CostModel<'a> {
+    fn new(
+        l: &'a Loop,
+        m: &'a MachineConfig,
+        cfg: &'a SelectiveConfig,
+        prices: &'a Prices,
+    ) -> CostModel<'a> {
+        let pool = m.resource_pool();
+        let mut pack_order: Vec<usize> = (0..l.ops.len()).collect();
         pack_order.sort_by_key(|&i| (m.alternatives_count_in(&pool, l.ops[i].opcode), i));
-        CostModel {
-            l,
-            m,
-            cfg,
-            k: m.vector_length,
-            consumers,
-            producers,
-            scalar_reqs,
-            vector_reqs,
-            comm_reqs,
-            pack_order,
-        }
+        CostModel { l, m, cfg, prices, k: m.vector_length, pack_order }
     }
 
     /// Reserve the op's own execution resources (lines 38–45 of Figure 2):
@@ -187,10 +207,10 @@ impl<'a> CostModel<'a> {
     fn reserve_own(&self, bins: &mut Bins, i: usize, vector: bool) -> sv_modsched::Placement {
         let mut placement = sv_modsched::Placement::default();
         if vector {
-            merge_into(&mut placement, bins.reserve(&self.vector_reqs[i]));
+            merge_into(&mut placement, bins.reserve(&self.prices.vector[i]));
         } else {
             for _ in 0..self.k {
-                merge_into(&mut placement, bins.reserve(&self.scalar_reqs[i]));
+                merge_into(&mut placement, bins.reserve(&self.prices.scalar[i]));
             }
         }
         placement
@@ -210,13 +230,13 @@ impl<'a> CostModel<'a> {
             return placement;
         }
         let produces_vector = part[i];
-        let needs = self.consumers[i]
+        let needs = self.prices.consumers[i]
             .iter()
             .any(|c| part[c.index()] != produces_vector);
         if !needs {
             return placement;
         }
-        let reqs = &self.comm_reqs[i][if produces_vector { 1 } else { 0 }];
+        let reqs = &self.prices.comm[i][if produces_vector { 1 } else { 0 }];
         for r in reqs {
             merge_into(&mut placement, bins.reserve(std::slice::from_ref(r)));
         }
@@ -226,24 +246,6 @@ impl<'a> CostModel<'a> {
 
 fn merge_into(into: &mut sv_modsched::Placement, from: sv_modsched::Placement) {
     into.extend(from);
-}
-
-/// Whether the vector form of a memory operation would need realignment
-/// merges under the machine's active alignment policy — the single
-/// definition shared by the cost model, the legality screen and the
-/// optimal-II oracle's lower bounds.
-pub(crate) fn op_misaligned(l: &Loop, m: &MachineConfig, op: &sv_ir::Operation) -> bool {
-    let Some(r) = &op.mem else { return false };
-    match m.alignment {
-        AlignmentPolicy::AssumeAligned => false,
-        AlignmentPolicy::AssumeMisaligned => true,
-        AlignmentPolicy::UseStatic => {
-            let a = &l.arrays[r.array.0 as usize];
-            let vec_bytes = u64::from(m.vector_length) * a.ty.size_bytes();
-            !(a.base_align.is_multiple_of(vec_bytes)
-                && r.offset.rem_euclid(i64::from(m.vector_length)) == 0)
-        }
-    }
 }
 
 /// Static register-pressure imbalance estimate for a configuration: the
@@ -335,21 +337,31 @@ pub fn partition_ops(
     m: &MachineConfig,
     cfg: &SelectiveConfig,
 ) -> PartitionResult {
-    let statuses = vectorizable_ops(l, g, m.vector_length);
-    let movable = movable_ops(l, m, &statuses);
-    let model = CostModel::new(l, g, m, cfg);
+    kl_partition(l, m, &Prices::new(l, g, m), cfg)
+}
+
+/// [`partition_ops`] over a price list the caller already built (the
+/// compile driver keeps it for the optimal-II oracle).
+pub(crate) fn kl_partition(
+    l: &Loop,
+    m: &MachineConfig,
+    prices: &Prices,
+    cfg: &SelectiveConfig,
+) -> PartitionResult {
+    let movable = &prices.movable;
+    let model = CostModel::new(l, m, cfg, prices);
 
     // Kernighan–Lin is a local search; seed it from both extremes — the
     // paper's all-scalar start and the legal all-vector (full) partition —
     // and keep the cheaper result. The second start removes the rare local
     // minimum where full vectorization would beat the all-scalar descent.
     let scalar_start = vec![false; l.ops.len()];
-    let mut best = kl_descend(&model, cfg, &movable, scalar_start, cfg.max_moves);
+    let mut best = kl_descend(&model, cfg, movable, scalar_start, cfg.max_moves);
     if movable.iter().any(|&v| v) {
         // The second descent spends whatever the first left of the budget.
         let remaining = cfg.max_moves.map(|cap| cap.saturating_sub(best.moves_evaluated));
         let full_start = movable.clone();
-        let alt = kl_descend(&model, cfg, &movable, full_start, remaining);
+        let alt = kl_descend(&model, cfg, movable, full_start, remaining);
         let budget_exhausted = best.budget_exhausted || alt.budget_exhausted;
         let iterations = best.iterations + alt.iterations;
         let moves_evaluated = best.moves_evaluated + alt.moves_evaluated;
@@ -372,39 +384,6 @@ pub fn partition_ops(
         };
     }
     best
-}
-
-/// Which operations may be assigned to the vector partition: legally
-/// vectorizable AND executable by this machine's vector resources.
-///
-/// An op is movable when the machine can actually execute its vector form
-/// (and the realignment merge it would need): a machine without vector or
-/// merge units pins everything scalar instead of panicking in the bin
-/// packer. Merge capacity is only demanded when the op can actually be
-/// misaligned under the active alignment policy — a merge-less machine
-/// with `AssumeAligned` (or statically aligned refs) still vectorizes its
-/// memory operations. Shared by the KL partitioner and the optimal-II
-/// oracle so both search the same assignment space.
-pub(crate) fn movable_ops(
-    l: &Loop,
-    m: &MachineConfig,
-    statuses: &[VecStatus],
-) -> Vec<bool> {
-    let pool = m.resource_pool();
-    let machine_supports = |i: usize| -> bool {
-        let op = &l.ops[i];
-        let vopc = op.opcode.with_form(VectorForm::Vector);
-        let mut reqs = m.requirements(vopc);
-        if op.opcode.kind.is_mem() && op_misaligned(l, m, op) {
-            reqs.extend(m.requirements(sv_ir::Opcode::vector(OpKind::Merge, op.opcode.ty)));
-        }
-        reqs.iter().all(|r| pool.capacity(r.class) > 0)
-    };
-    statuses
-        .iter()
-        .enumerate()
-        .map(|(i, s)| s.is_vectorizable() && machine_supports(i))
-        .collect()
 }
 
 /// One full Kernighan–Lin descent (Figure 2 lines 1–20) from `start`,
@@ -515,14 +494,14 @@ fn probe_switch(
 
     packed.bins.release(&packed.own[i]);
     packed.bins.release(&packed.comm[i]);
-    for p in &model.producers[i] {
+    for p in &model.prices.producers[i] {
         packed.bins.release(&packed.comm[p.index()]);
     }
 
     part[i] = !part[i];
     let _ = model.reserve_own(&mut packed.bins, i, part[i]);
     let _ = model.reserve_comm(&mut packed.bins, i, part);
-    for p in &model.producers[i] {
+    for p in &model.prices.producers[i] {
         let _ = model.reserve_comm(&mut packed.bins, p.index(), part);
     }
     let cost = (packed.bins.high_water_mark(), packed.bins.sum_squares());
@@ -535,6 +514,7 @@ fn probe_switch(
 mod tests {
     use super::*;
     use sv_ir::{LoopBuilder, ScalarType};
+    use sv_machine::AlignmentPolicy;
 
     fn run(l: &Loop, m: &MachineConfig) -> PartitionResult {
         let g = DepGraph::build(l);
@@ -576,8 +556,9 @@ mod tests {
         let g = DepGraph::build(&l);
         let model_cfg = SelectiveConfig::default();
         let r = partition_ops(&l, &g, &m, &model_cfg);
+        let prices = Prices::new(&l, &g, &m);
         let all_scalar = bin_pack(
-            &CostModel::new(&l, &g, &m, &model_cfg),
+            &CostModel::new(&l, &m, &model_cfg, &prices),
             &vec![false; l.ops.len()],
         );
         assert!(r.cost <= all_scalar.bins.high_water_mark());
@@ -630,13 +611,14 @@ mod tests {
         let m = MachineConfig::paper_default();
         let g = DepGraph::build(&l);
         let r = partition_ops(&l, &g, &m, &SelectiveConfig::default());
-        let scalar_cost =
-            bin_pack(&CostModel::new(&l, &g, &m, &SelectiveConfig::default()), &vec![
-                false;
-                l.ops.len()
-            ])
-            .bins
-            .high_water_mark();
+        let prices = Prices::new(&l, &g, &m);
+        let cfg = SelectiveConfig::default();
+        let scalar_cost = bin_pack(&CostModel::new(&l, &m, &cfg, &prices), &vec![
+            false;
+            l.ops.len()
+        ])
+        .bins
+        .high_water_mark();
         assert!(
             r.cost < scalar_cost,
             "selective ({}) should beat all-scalar ({})",
@@ -648,7 +630,7 @@ mod tests {
 
     #[test]
     fn mergeless_machine_vectorizes_aligned_memory() {
-        // Regression: machine_supports used to charge vector-Merge
+        // Regression: the legality screen used to charge vector-Merge
         // capability for *every* memory op, so a machine with vector
         // units but no merge unit pinned all loads/stores scalar even
         // under AssumeAligned, where the transformer never emits a
@@ -690,7 +672,7 @@ mod tests {
         // merge unit, memory ops must stay scalar.
         let mut mm = MachineConfig::paper_default();
         mm.merge_units = 0;
-        mm.alignment = sv_machine::AlignmentPolicy::AssumeMisaligned;
+        mm.alignment = AlignmentPolicy::AssumeMisaligned;
         let rm = run(&l, &mm);
         for (i, op) in l.ops.iter().enumerate() {
             if op.opcode.kind.is_mem() {
@@ -700,6 +682,52 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn price_list_merges_match_the_transformer() {
+        // The price list charges a realignment merge exactly where the
+        // transformer emits one: for every suite loop, the merges in the
+        // transformed loop equal the vector memory ops whose vector price
+        // carries the merge surcharge, under every alignment policy.
+        let spec = |name: &str| {
+            let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/machines");
+            let text = std::fs::read_to_string(format!("{dir}/{name}.spec")).unwrap();
+            MachineConfig::from_spec(&text).unwrap()
+        };
+        let mut statik = MachineConfig::paper_default();
+        statik.alignment = AlignmentPolicy::UseStatic;
+        let machines = [MachineConfig::paper_default(), spec("vl4"), spec("aligned"), statik];
+        let (mut merged, mut plain) = (0, 0);
+        for m in &machines {
+            for suite in sv_workloads::all_benchmarks() {
+                for l in &suite.loops {
+                    let g = DepGraph::build(l);
+                    let prices = Prices::new(l, &g, m);
+                    let kl = kl_partition(l, m, &prices, &SelectiveConfig::default());
+                    for part in [&kl.partition, &prices.movable] {
+                        let t = sv_vectorize::try_transform(l, m, part).unwrap();
+                        let vector_mem: Vec<usize> = (0..l.ops.len())
+                            .filter(|&i| part[i] && l.ops[i].opcode.kind.is_mem())
+                            .collect();
+                        let priced = vector_mem
+                            .iter()
+                            .filter(|&&i| {
+                                let vopc = l.ops[i].opcode.with_form(VectorForm::Vector);
+                                prices.vector[i].len() > m.requirements(vopc).len()
+                            })
+                            .count();
+                        assert_eq!(t.merge_ops, priced, "{} on {}", l.name, m.name);
+                        if m.alignment == AlignmentPolicy::UseStatic {
+                            merged += priced;
+                            plain += vector_mem.len() - priced;
+                        }
+                    }
+                }
+            }
+        }
+        // The static policy exercises both sides of the rule.
+        assert!(merged > 0 && plain > 0, "merged {merged}, plain {plain}");
     }
 
     #[test]

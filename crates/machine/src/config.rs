@@ -2,7 +2,7 @@
 
 use crate::comm::CommModel;
 use crate::resources::{Reservation, ResourceClass, ResourcePool};
-use sv_ir::{OpKind, Opcode, RegClass, ScalarType, VectorForm};
+use sv_ir::{ArrayDecl, MemRef, OpKind, Opcode, RegClass, ScalarType, VectorForm};
 
 /// Operation latencies in cycles (paper Table 1; stores, merges and copies
 /// are single-cycle, the convention in Trimaran's HPL-PD descriptions).
@@ -252,6 +252,23 @@ impl MachineConfig {
             (ResourceClass::VectorIssue, self.vector_issue_limit.unwrap_or(0)),
             (ResourceClass::Select, self.select_units),
         ])
+    }
+
+    /// Whether the vector form of memory reference `r` (into `arrays`)
+    /// needs realignment merges under the active alignment policy — the
+    /// single misalignment rule, shared by the partitioner's price list
+    /// and the transformer that emits the merges.
+    pub fn misaligned(&self, arrays: &[ArrayDecl], r: &MemRef) -> bool {
+        match self.alignment {
+            AlignmentPolicy::AssumeAligned => false,
+            AlignmentPolicy::AssumeMisaligned => true,
+            AlignmentPolicy::UseStatic => {
+                let a = &arrays[r.array.0 as usize];
+                let vec_bytes = u64::from(self.vector_length) * a.ty.size_bytes();
+                !(a.base_align.is_multiple_of(vec_bytes)
+                    && r.offset.rem_euclid(i64::from(self.vector_length)) == 0)
+            }
+        }
     }
 
     /// Result latency of an opcode in cycles. Vector operations have the

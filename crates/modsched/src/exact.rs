@@ -23,10 +23,10 @@
 //! never gates feasibility, mirroring the driver, which accepts
 //! over-pressure schedules rather than failing compilation.
 
-use crate::mii::{compute_recmii, compute_resmii, edge_delay};
-use crate::sched::{compute_heights, Schedule};
+use crate::mii::edge_delay;
+use crate::sched::{compute_heights, Assignments, Schedule};
 use sv_analysis::{strongly_connected_components, DepGraph};
-use sv_ir::{Loop, OpId, RegClass};
+use sv_ir::{Loop, OpId};
 use sv_machine::{MachineConfig, ResourceClass, ResourcePool};
 
 /// Result of one exact feasibility probe at a fixed II.
@@ -650,8 +650,8 @@ fn occupy(occ: &mut [u8], t: u32, cycles: u32, ii: u32, v: u8) {
 
 /// Materialize a full [`Schedule`] from the witness: concrete per-op
 /// resource instances (counting classes get a deterministic per-row
-/// assignment; tracked classes keep the DFS picks) plus the same derived
-/// metrics the iterative scheduler reports.
+/// assignment; tracked classes keep the DFS picks), finished with the
+/// iterative scheduler's derived metrics.
 fn build_schedule(
     l: &Loop,
     g: &DepGraph,
@@ -680,14 +680,8 @@ fn build_schedule(
             }
         }
     }
-    for picks in &search.picks {
-        for &(inst, cycles) in picks {
-            // Row recovered below from the op's time; mark lazily there.
-            let _ = (inst, cycles);
-        }
-    }
 
-    let mut assignments: Vec<Vec<(sv_machine::ResourceInstance, u32)>> = vec![Vec::new(); n];
+    let mut assignments: Assignments = vec![Vec::new(); n];
     // Tracked picks first (their instances are fixed), then counting
     // reservations in op order, each on the first instance free at the row.
     for op in 0..n {
@@ -717,28 +711,7 @@ fn build_schedule(
         }
     }
 
-    let length = times.iter().copied().max().unwrap_or(0) + 1;
-    let stage_count = (length - 1) / ii + 1;
-    let pressure = crate::pressure::max_live(l, g, m, &times, ii);
-    let mve = crate::pressure::mve_factor(l, g, m, &times, ii);
-    let ok = RegClass::ALL
-        .iter()
-        .enumerate()
-        .all(|(i, &c)| pressure[i] <= m.regs.size(c))
-        && stage_count <= m.regs.predicates;
-    Schedule {
-        ii,
-        resmii: compute_resmii(l, m),
-        recmii: compute_recmii(l, g, m),
-        times,
-        assignments,
-        length,
-        stage_count,
-        max_live: pressure,
-        mve_factor: mve,
-        register_pressure_ok: ok,
-        iis_tried: vec![ii],
-    }
+    Schedule::finish(l, g, m, ii, times, assignments, vec![ii])
 }
 
 #[cfg(test)]

@@ -43,19 +43,38 @@ pub fn compute_resmii(l: &Loop, m: &MachineConfig) -> u32 {
 }
 
 /// Recurrence-constrained minimum II: the maximum over dependence cycles of
-/// `⌈Σ delay / Σ distance⌉`, computed by binary-searching the smallest II
-/// for which the graph has no positive-weight cycle under edge weights
-/// `delay − II·distance` (Bellman–Ford from a virtual source).
+/// `⌈Σ delay / Σ distance⌉`. [`recurrence_bound`] at scale 1.
 pub fn compute_recmii(l: &Loop, g: &DepGraph, m: &MachineConfig) -> u32 {
-    let max_delay: i64 = g.edges().iter().map(|e| edge_delay(e, l, m).max(0)).sum();
-    if max_delay == 0 || g.edges().is_empty() {
+    recurrence_bound(l, g, m, 1)
+}
+
+/// The recurrence bound with every dependence delay multiplied by
+/// `scale`: the maximum over dependence cycles of
+/// `⌈scale·Σ delay / Σ distance⌉`, computed by binary-searching the
+/// smallest II for which the graph has no positive-weight cycle under edge
+/// weights `scale·delay − II·distance` (Bellman–Ford from a virtual
+/// source). Scale 1 is RecMII; scale `k` bounds a loop transformed to
+/// cover `k` source iterations per kernel iteration, whatever its
+/// partition (the optimal-II oracle's recurrence bound).
+pub fn recurrence_bound(l: &Loop, g: &DepGraph, m: &MachineConfig, scale: u32) -> u32 {
+    let scale = i64::from(scale);
+    let edges: Vec<(usize, usize, i64, i64)> = g
+        .edges()
+        .iter()
+        .map(|e| {
+            let delay = scale * edge_delay(e, l, m);
+            (e.src.index(), e.dst.index(), delay, i64::from(e.distance))
+        })
+        .collect();
+    let max_delay: i64 = edges.iter().map(|e| e.2.max(0)).sum();
+    if max_delay == 0 {
         return 1;
     }
-    let (mut lo, mut hi) = (1i64, max_delay.max(1));
+    let (mut lo, mut hi) = (1i64, max_delay);
     // Invariant: hi admits no positive cycle; lo-1 untested/lo may fail.
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if has_positive_cycle(l, g, m, mid) {
+        if has_positive_cycle(g.op_count(), &edges, mid) {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -69,28 +88,23 @@ pub fn compute_mii(l: &Loop, g: &DepGraph, m: &MachineConfig) -> u32 {
     compute_resmii(l, m).max(compute_recmii(l, g, m)).max(1)
 }
 
-/// Bellman–Ford longest-path relaxation; reports whether any cycle has
-/// positive total weight `Σ(delay − II·distance)`.
-fn has_positive_cycle(l: &Loop, g: &DepGraph, m: &MachineConfig, ii: i64) -> bool {
-    let n = g.op_count();
-    if n == 0 {
-        return false;
-    }
+/// Bellman–Ford longest-path relaxation over `(src, dst, delay, distance)`
+/// edges; reports whether any cycle has positive total weight
+/// `Σ(delay − II·distance)`.
+fn has_positive_cycle(n: usize, edges: &[(usize, usize, i64, i64)], ii: i64) -> bool {
     let mut dist = vec![0i64; n];
-    for round in 0..n {
+    for _ in 0..n {
         let mut changed = false;
-        for e in g.edges() {
-            let w = edge_delay(e, l, m) - ii * i64::from(e.distance);
-            let cand = dist[e.src.index()] + w;
-            if cand > dist[e.dst.index()] {
-                dist[e.dst.index()] = cand;
+        for &(src, dst, delay, distance) in edges {
+            let cand = dist[src] + delay - ii * distance;
+            if cand > dist[dst] {
+                dist[dst] = cand;
                 changed = true;
             }
         }
         if !changed {
             return false;
         }
-        let _ = round;
     }
     true
 }

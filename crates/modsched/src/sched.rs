@@ -67,6 +67,45 @@ pub struct Schedule {
 }
 
 impl Schedule {
+    /// A schedule from a feasible placement at `ii`, with the derived
+    /// fields both schedulers (iterative and exact) report: the loop's
+    /// ResMII and RecMII, length, stage count, MaxLive, the MVE factor and
+    /// the register-pressure verdict.
+    pub(crate) fn finish(
+        l: &Loop,
+        g: &DepGraph,
+        m: &MachineConfig,
+        ii: u32,
+        times: Vec<u32>,
+        assignments: Assignments,
+        iis_tried: Vec<u32>,
+    ) -> Schedule {
+        let length = times.iter().copied().max().unwrap_or(0) + 1;
+        let stage_count = (length - 1) / ii + 1;
+        let max_live = max_live(l, g, m, &times, ii);
+        let mve_factor = mve_factor(l, g, m, &times, ii);
+        let register_pressure_ok = RegClass::ALL
+            .iter()
+            .enumerate()
+            .all(|(i, &c)| max_live[i] <= m.regs.size(c))
+            // One rotating stage predicate per pipeline stage (the
+            // kernel-only code schema the paper's machine supports).
+            && stage_count <= m.regs.predicates;
+        Schedule {
+            ii,
+            resmii: compute_resmii(l, m),
+            recmii: compute_recmii(l, g, m),
+            times,
+            assignments,
+            length,
+            stage_count,
+            max_live,
+            mve_factor,
+            register_pressure_ok,
+            iis_tried,
+        }
+    }
+
     /// II per *original* iteration: `ii / iter_scale` of the scheduled loop.
     pub fn ii_per_original(&self, iter_scale: u32) -> f64 {
         f64::from(self.ii) / f64::from(iter_scale)
@@ -132,8 +171,6 @@ pub fn modulo_schedule_with(
     m: &MachineConfig,
     cfg: &ScheduleConfig,
 ) -> Result<Schedule, ScheduleError> {
-    let resmii = compute_resmii(l, m);
-    let recmii = compute_recmii(l, g, m);
     let mii = compute_mii(l, g, m);
     let mut first_fit: Option<Schedule> = None;
     let mut pressure_retries = 0u32;
@@ -144,31 +181,8 @@ pub fn modulo_schedule_with(
         let Some((times, assignments)) = try_ii(l, g, m, ii, cfg.budget_ratio) else {
             continue;
         };
-        let length = times.iter().copied().max().unwrap_or(0) + 1;
-        let stage_count = (length - 1) / ii + 1;
-        let pressure = max_live(l, g, m, &times, ii);
-        let mve = mve_factor(l, g, m, &times, ii);
-        let ok = RegClass::ALL
-            .iter()
-            .enumerate()
-            .all(|(i, &c)| pressure[i] <= m.regs.size(c))
-            // One rotating stage predicate per pipeline stage (the
-            // kernel-only code schema the paper's machine supports).
-            && stage_count <= m.regs.predicates;
-        let sched = Schedule {
-            ii,
-            resmii,
-            recmii,
-            times,
-            assignments,
-            length,
-            stage_count,
-            max_live: pressure,
-            mve_factor: mve,
-            register_pressure_ok: ok,
-            iis_tried: iis_tried.clone(),
-        };
-        if ok {
+        let sched = Schedule::finish(l, g, m, ii, times, assignments, iis_tried.clone());
+        if sched.register_pressure_ok {
             return Ok(sched);
         }
         if first_fit.is_none() {
@@ -242,7 +256,7 @@ impl Mrt {
     }
 }
 
-type Assignments = Vec<Vec<(ResourceInstance, u32)>>;
+pub(crate) type Assignments = Vec<Vec<(ResourceInstance, u32)>>;
 
 fn try_ii(
     l: &Loop,

@@ -6,7 +6,8 @@
 //!
 //! * admission is **fair**: the global compile weight is capped
 //!   by [`BatchConfig::queue_cap`], and each registered client is capped
-//!   at an equal share of that capacity (never below one slot), so a
+//!   at an equal share of that capacity (never below one slot; the
+//!   default client takes a share only while it has queued work), so a
 //!   greedy connection fills only its own quota and is
 //!   rejected with a typed [`ServeError::Overloaded`] — carrying a
 //!   `retry_after_ms` hint computed from live queue depth — while other
@@ -222,10 +223,21 @@ impl Queue {
         self.clients.values().map(|c| c.items.len()).sum()
     }
 
-    /// Registered clients, the default one included: the quota
-    /// denominator.
+    /// Registered clients, the default one included (the `clients`
+    /// gauge).
     fn registered(&self) -> usize {
         self.clients.values().filter(|c| c.registered).count()
+    }
+
+    /// The quota denominator for a submission by `client`: the registered
+    /// clients, where the always-registered default client counts only
+    /// while it holds queued work or is the one submitting. An idle
+    /// default identity takes no share, so a lone connection's quota is
+    /// the whole queue.
+    fn sharers(&self, client: u64) -> usize {
+        let default_idle = client != DEFAULT_CLIENT
+            && self.clients.get(&DEFAULT_CLIENT).is_some_and(|c| c.items.is_empty());
+        self.registered() - usize::from(default_idle)
     }
 
     /// Clients with queued work, in round-robin order: ids above the
@@ -503,7 +515,7 @@ impl Batcher {
             self.inner.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::Overloaded { cap, retry_after_ms: hint });
         }
-        let registered = q.registered().max(1);
+        let sharers = q.sharers(client).max(1);
         let Some(c) = q.clients.get_mut(&client) else {
             return Err(ServeError::Internal {
                 message: format!("client {client} is not registered"),
@@ -516,7 +528,7 @@ impl Batcher {
         }
         // An equal share of the capacity, never below one slot so light
         // clients always get in.
-        let quota = (cap / registered).max(1);
+        let quota = (cap / sharers).max(1);
         if c.queued + w > quota {
             self.inner.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::Overloaded { cap: quota, retry_after_ms: hint });
@@ -1098,23 +1110,24 @@ mod tests {
         );
         let greedy = b.register_client();
         let light = b.register_client();
-        // Default client + two registered: each client's quota is 9/3 = 3.
+        // Two registered clients and an idle default one, which takes no
+        // share: each client's quota is 9/2 = 4.
         let (sink, _buf) = buffer();
-        let mut reqs = suite_requests(9).into_iter();
-        for _ in 0..3 {
+        let mut reqs = suite_requests(10).into_iter();
+        for _ in 0..4 {
             b.submit_for(greedy, reqs.next().unwrap(), Arc::clone(&sink)).unwrap();
         }
         let e = b.submit_for(greedy, reqs.next().unwrap(), Arc::clone(&sink)).unwrap_err();
         assert!(
-            matches!(e, ServeError::Overloaded { cap: 3, .. }),
+            matches!(e, ServeError::Overloaded { cap: 4, .. }),
             "greedy must bounce off its quota, got {e:?}"
         );
         // The light client still gets its full share.
-        for _ in 0..3 {
+        for _ in 0..4 {
             b.submit_for(light, reqs.next().unwrap(), Arc::clone(&sink)).unwrap();
         }
         let e = b.submit_for(light, reqs.next().unwrap(), Arc::clone(&sink)).unwrap_err();
-        assert!(matches!(e, ServeError::Overloaded { cap: 3, .. }));
+        assert!(matches!(e, ServeError::Overloaded { cap: 4, .. }));
         b.close();
         b.join().unwrap();
     }

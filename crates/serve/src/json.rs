@@ -9,6 +9,10 @@
 
 use std::collections::BTreeMap;
 
+/// The writer-side twin of [`parse`]: the workspace's one JSON string
+/// escaper.
+pub use sv_core::json_escape as escape;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -280,24 +284,6 @@ fn utf8_len(first: u8) -> usize {
         0xe0..=0xef => 3,
         _ => 4,
     }
-}
-
-/// Minimal JSON string escape (quotes, backslashes, control characters) —
-/// the writer-side twin of [`parse`].
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -9,6 +9,9 @@
 //!   admitted, so it is refused as a typed, non-retryable `bad_request`
 //!   naming `queue_cap` — a retrying client gives up after one attempt
 //!   instead of backing off against a queue that can never take it.
+//! * A lone connection's quota is the whole queue: the idle default
+//!   client takes no share, so a batch heavier than half the queue is
+//!   admitted rather than bounced with an `overloaded` no wait can cure.
 
 use std::sync::{Arc, Mutex};
 use sv_serve::json::escape;
@@ -112,4 +115,21 @@ fn batch_heavier_than_the_queue_is_a_bad_request_not_a_retry() {
     // A batch exactly as heavy as the queue is still admitted.
     let out = serve(&[batch_line(8, &member_loops(2))], cfg);
     assert!(out[0].starts_with("{\"id\":8,\"ok\":true,\"results\":["), "{}", out[0]);
+}
+
+#[test]
+fn lone_registered_client_is_quota_bound_only_by_the_queue() {
+    let cfg = BatchConfig { queue_cap: 4, ..BatchConfig::default() };
+    let b = Batcher::new(Arc::new(ServeService::in_memory()), cfg);
+    // One TCP connection's identity; the default client stays idle.
+    let client = b.register_client();
+    let (buf, sink) = line_sink();
+    // Weight queue_cap/2 + 1: over the share an idle default client
+    // would claim, within the whole queue.
+    let req = parse_request(&batch_line(9, &member_loops(3))).expect("well-formed batch");
+    b.submit_for(client, req, sink).unwrap_or_else(|e| panic!("batch refused: {e}"));
+    b.join().expect("drain");
+    let bytes = buf.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let out = String::from_utf8_lossy(&bytes);
+    assert!(out.starts_with("{\"id\":9,\"ok\":true,\"results\":["), "{out}");
 }

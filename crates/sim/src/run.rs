@@ -102,40 +102,53 @@ fn shared_memory(c: &CompiledLoop) -> (usize, Memory) {
     (base_len, Memory::for_arrays(&base_decls))
 }
 
-/// [`run_compiled`] parameterized by the in-order executor.
-pub(crate) fn run_compiled_with(c: &CompiledLoop, exec: ExecLoopFn) -> RunResult {
+/// The walk every whole-plan runner shares: each segment's main loop for
+/// its bulk iterations, then its cleanup loop for the remainder, each
+/// piece run by `run_piece` on a memory seeded from the shared arrays,
+/// which are copied back and threaded into the next piece.
+fn walk_plan<E>(
+    c: &CompiledLoop,
+    mut run_piece: impl FnMut(
+        &Loop,
+        &Schedule,
+        &mut Memory,
+        std::ops::Range<u64>,
+    ) -> Result<Vec<LiveOutValue>, E>,
+) -> Result<RunResult, E> {
     let (base_len, mut global) = shared_memory(c);
     let mut live_outs = BTreeMap::new();
-
-    let run_piece =
-        |global: &mut Memory, l: &Loop, iters: std::ops::Range<u64>, acc: &mut BTreeMap<String, Scalar>| {
-            debug_assert!(l.arrays.len() >= base_len);
-            let mut mem = Memory::for_arrays(&l.arrays);
-            for i in 0..base_len as u32 {
-                mem.copy_array_from(global, i);
-            }
-            let ran = iters.end > iters.start;
-            let outs = exec(l, &mut mem, iters);
-            for i in 0..base_len as u32 {
-                global.copy_array_from(&mem, i);
-            }
-            combine_liveouts(acc, outs, ran);
-        };
-
     for seg in &c.segments {
         let n = seg.looop.executed_iterations();
-        run_piece(&mut global, &seg.looop, 0..n, &mut live_outs);
         let r = seg.looop.remainder_iterations();
-        if r > 0 {
-            let (cl, _) = seg
+        let cleanup = (r > 0).then(|| {
+            let (cl, cs) = seg
                 .cleanup
                 .as_ref()
                 .expect("remainder iterations require a cleanup loop");
             let start = n * u64::from(seg.looop.iter_scale);
-            run_piece(&mut global, cl, start..start + r, &mut live_outs);
+            (cl, cs, start..start + r)
+        });
+        for (l, s, iters) in std::iter::once((&seg.looop, &seg.schedule, 0..n)).chain(cleanup) {
+            debug_assert!(l.arrays.len() >= base_len);
+            let mut mem = Memory::for_arrays(&l.arrays);
+            for i in 0..base_len as u32 {
+                mem.copy_array_from(&global, i);
+            }
+            let ran = iters.end > iters.start;
+            let outs = run_piece(l, s, &mut mem, iters)?;
+            for i in 0..base_len as u32 {
+                global.copy_array_from(&mem, i);
+            }
+            combine_liveouts(&mut live_outs, outs, ran);
         }
     }
-    RunResult { memory: global, live_outs }
+    Ok(RunResult { memory: global, live_outs })
+}
+
+/// [`run_compiled`] parameterized by the in-order executor.
+pub(crate) fn run_compiled_with(c: &CompiledLoop, exec: ExecLoopFn) -> RunResult {
+    walk_plan(c, |l, _, mem, iters| Ok::<_, std::convert::Infallible>(exec(l, mem, iters)))
+        .unwrap_or_else(|never| match never {})
 }
 
 /// One piece (segment main loop or cleanup) of a compiled plan as run by
@@ -172,29 +185,11 @@ pub fn run_compiled_executed(
     c: &CompiledLoop,
     m: &MachineConfig,
 ) -> Result<(RunResult, Vec<ExecutedPiece>), ExecError> {
-    let (base_len, mut global) = shared_memory(c);
-    let mut live_outs = BTreeMap::new();
     let mut pieces: Vec<ExecutedPiece> = Vec::new();
-
-    let mut run_piece = |global: &mut Memory,
-                         l: &Loop,
-                         s: &Schedule,
-                         iters: std::ops::Range<u64>,
-                         acc: &mut BTreeMap<String, Scalar>|
-     -> Result<(), ExecError> {
-        debug_assert!(l.arrays.len() >= base_len);
-        let mut mem = Memory::for_arrays(&l.arrays);
-        for i in 0..base_len as u32 {
-            mem.copy_array_from(global, i);
-        }
-        let ran = iters.end > iters.start;
+    let run = walk_plan(c, |l, s, mem, iters| {
         let n = iters.end - iters.start;
         let flat = emit_flat_for(l, s, n);
-        let (outs, report) = execute_schedule(l, m, &flat, &mut mem, iters)?;
-        for i in 0..base_len as u32 {
-            global.copy_array_from(&mem, i);
-        }
-        combine_liveouts(acc, outs, ran);
+        let (outs, report) = execute_schedule(l, m, &flat, mem, iters)?;
         pieces.push(ExecutedPiece {
             piece: l.name.clone(),
             scheduled_ii: s.ii,
@@ -203,23 +198,9 @@ pub fn run_compiled_executed(
             max_live: s.max_live,
             report,
         });
-        Ok(())
-    };
-
-    for seg in &c.segments {
-        let n = seg.looop.executed_iterations();
-        run_piece(&mut global, &seg.looop, &seg.schedule, 0..n, &mut live_outs)?;
-        let r = seg.looop.remainder_iterations();
-        if r > 0 {
-            let (cl, cs) = seg
-                .cleanup
-                .as_ref()
-                .expect("remainder iterations require a cleanup loop");
-            let start = n * u64::from(seg.looop.iter_scale);
-            run_piece(&mut global, cl, cs, start..start + r, &mut live_outs)?;
-        }
-    }
-    Ok((RunResult { memory: global, live_outs }, pieces))
+        Ok(outs)
+    })?;
+    Ok((run, pieces))
 }
 
 /// Run a compiled plan through the cycle-accurate executor and hold it to

@@ -6,7 +6,7 @@ use sv_ir::{
     ArrayDecl, CarriedInit, Loop, MemRef, OpId, OpKind, Opcode, Operand, Operation,
     ScalarType, VectorForm,
 };
-use sv_machine::{AlignmentPolicy, CommModel, MachineConfig};
+use sv_machine::{CommModel, MachineConfig};
 
 /// The result of transforming a loop under a scalar/vector partition.
 #[derive(Debug, Clone)]
@@ -255,19 +255,6 @@ fn b_value_key(
 }
 
 impl<'a> Builder<'a> {
-    fn misaligned(&self, r: &MemRef) -> bool {
-        match self.m.alignment {
-            AlignmentPolicy::AssumeAligned => false,
-            AlignmentPolicy::AssumeMisaligned => true,
-            AlignmentPolicy::UseStatic => {
-                let a = &self.src.arrays[r.array.0 as usize];
-                let vec_bytes = u64::from(self.k) * a.ty.size_bytes();
-                !(a.base_align.is_multiple_of(vec_bytes)
-                    && r.offset.rem_euclid(i64::from(self.k)) == 0)
-            }
-        }
-    }
-
     fn push_node(&mut self, node: Node) {
         let prev = self.index.insert(node.key, self.nodes.len());
         debug_assert!(prev.is_none(), "duplicate node {:?}", node.key);
@@ -303,7 +290,7 @@ impl<'a> Builder<'a> {
                 match op.opcode.kind {
                     OpKind::Load => {
                         let r = self.wide_ref(op.mem_ref());
-                        let mis = self.misaligned(op.mem_ref());
+                        let mis = self.m.misaligned(&self.src.arrays, op.mem_ref());
                         self.push_node(Node {
                             key: Key::Vec(iu),
                             opcode: vopc,
@@ -331,7 +318,7 @@ impl<'a> Builder<'a> {
                     }
                     OpKind::Store => {
                         let r = self.wide_ref(op.mem_ref());
-                        let mis = self.misaligned(op.mem_ref());
+                        let mis = self.m.misaligned(&self.src.arrays, op.mem_ref());
                         if mis {
                             self.push_node(Node {
                                 key: Key::MergeStore(iu),
@@ -824,6 +811,7 @@ impl<'a> Builder<'a> {
 mod tests {
     use super::*;
     use sv_ir::LoopBuilder;
+    use sv_machine::AlignmentPolicy;
 
     fn daxpy() -> Loop {
         let mut b = LoopBuilder::new("daxpy");
