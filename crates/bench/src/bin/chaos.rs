@@ -5,18 +5,22 @@
 //! [`FaultConfig::soak`] mix armed — injected disk I/O errors, torn
 //! writes, orphaned temporaries, compile panics, slow compiles, drainer
 //! deaths, queue stalls, connection drops, greedy client bursts — pushes
-//! cold and warm request waves, a retrying-client wave, and a
-//! multi-client burst wave (several registered fair-share identities
-//! submitting concurrently, with injected bursts) through it, and
-//! asserts the invariants the chaos-hardening work guarantees:
+//! cold and warm request waves (with a `batch` and a `stats` request
+//! interleaved), a retrying-client wave, and a multi-client burst wave
+//! (several registered fair-share identities submitting concurrently,
+//! with injected bursts) through it, and asserts the invariants the
+//! chaos-hardening work guarantees:
 //!
 //! * **exactly-once** — every submitted request gets exactly one
-//!   response, none lost, none duplicated, in-order per sink — including
-//!   across concurrently submitting clients whose items interleave in
-//!   the round-robin drain and in post-crash requeues;
-//! * **byte-identity** — every `ok` response is byte-identical to the
-//!   fault-free control run's bytes (faults may fail a request with a
-//!   typed error, but may never change what a success looks like);
+//!   response, none lost, none duplicated, in each client's submission
+//!   order — including across concurrently submitting clients whose
+//!   items interleave in the round-robin drain and in post-crash
+//!   requeues;
+//! * **byte-identity** — every `ok` compile response and every `ok`
+//!   element of a `batch` response is byte-identical to the fault-free
+//!   control run's bytes (faults may fail a request with a typed error,
+//!   but may never change what a success looks like); `stats` is exempt,
+//!   its counters legitimately differ;
 //! * **liveness** — the daemon finishes alive: `join()` returns `Ok`,
 //!   the supervisor never hit its fruitless-restart bound;
 //! * **recovery** — a faultless reopen over the same disk directory
@@ -35,8 +39,9 @@
 
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
-use sv_core::{CacheConfig, CompileCache};
-use sv_serve::proto::ok_response;
+use sv_core::{panic_message, CacheConfig, CompileCache};
+use sv_serve::json::{self, Value};
+use sv_serve::proto::{batch_response, ok_response};
 use sv_serve::{
     BatchConfig, Batcher, CompileRequest, FaultConfig, FaultCounters, FaultPlan, InProcess,
     Request, RetryClient, RetryPolicy, ServeService, Sink,
@@ -97,53 +102,127 @@ fn requests(n: usize) -> Vec<CompileRequest> {
     out
 }
 
-/// One capture sink per request: a buffer the drainer writes the
-/// response line(s) into, inspected after join.
+/// One capture sink per client stream: a buffer the drainer writes the
+/// response lines into, inspected after join.
 fn capture() -> (Sink, Arc<Mutex<Vec<u8>>>) {
     let buf = Arc::new(Mutex::new(Vec::new()));
     (buf.clone() as Sink, buf)
 }
 
-/// The per-sink response lines (exactly one, if exactly-once holds).
-fn lines_of(buf: &Arc<Mutex<Vec<u8>>>) -> Vec<String> {
-    String::from_utf8_lossy(&buf.lock().unwrap())
-        .lines()
-        .map(str::to_string)
-        .collect()
+/// One request of a client stream, in submission order.
+enum Sent {
+    /// A compile of distinct request `i`.
+    Compile { id: u64, i: usize },
+    /// A `batch` of every distinct request, in order.
+    Batch { id: u64 },
+    /// A `stats` request.
+    Stats { id: u64 },
 }
 
-/// Check one captured response against the control body: exactly one
-/// line, correct id, and — when `ok` — byte-identical to the fault-free
-/// rendering. Returns whether it was an `ok`.
-fn check_response(seed: u64, id: u64, buf: &Arc<Mutex<Vec<u8>>>, control: &str) -> bool {
-    let lines = lines_of(buf);
+/// Per-stream tallies of compile outcomes (batch elements included).
+#[derive(Default)]
+struct Tally {
+    ok: u64,
+    internal: u64,
+}
+
+/// Check one client stream's captured output: exactly one line per sent
+/// request, in submission order, each held to its verb's bar.
+fn check_stream(
+    seed: u64,
+    who: &str,
+    buf: &Arc<Mutex<Vec<u8>>>,
+    sent: &[Sent],
+    control: &[String],
+    tally: &mut Tally,
+) {
+    let out = String::from_utf8_lossy(&buf.lock().unwrap()).to_string();
+    let lines: Vec<&str> = out.lines().collect();
     assert_eq!(
         lines.len(),
-        1,
-        "seed {seed}: request {id} got {} responses (exactly-once violated): {lines:?}",
+        sent.len(),
+        "seed {seed}: {who} sent {} requests and got {} responses (exactly-once violated)",
+        sent.len(),
         lines.len()
     );
-    let line = &lines[0];
-    assert!(
-        line.starts_with(&format!("{{\"id\":{id},")),
-        "seed {seed}: response id mismatch for request {id}: {line}"
-    );
+    for (line, req) in lines.iter().zip(sent) {
+        let id = match *req {
+            Sent::Compile { id, .. } | Sent::Batch { id } | Sent::Stats { id } => id,
+        };
+        assert!(
+            line.starts_with(&format!("{{\"id\":{id},")),
+            "seed {seed}: {who} expected the response to request {id} next (per-client \
+             order or exactly-once violated): {line}"
+        );
+        match *req {
+            Sent::Compile { i, .. } => check_compile(seed, id, line, &control[i], tally),
+            Sent::Batch { .. } => check_batch(seed, id, line, control, tally),
+            Sent::Stats { .. } => assert!(
+                line.starts_with(&format!("{{\"id\":{id},\"ok\":true,\"result\":{{\"cache\":")),
+                "seed {seed}: stats request {id} was not answered with stats: {line}"
+            ),
+        }
+    }
+}
+
+/// A compile response: `ok` and byte-identical to the fault-free
+/// rendering, or a typed `internal` error (an injected compile panic).
+fn check_compile(seed: u64, id: u64, line: &str, control: &str, tally: &mut Tally) {
     if line.contains("\"ok\":true") {
         assert_eq!(
             line,
-            &ok_response(id, control),
+            ok_response(id, control),
             "seed {seed}: ok bytes for request {id} diverged from the fault-free control"
         );
-        true
+        tally.ok += 1;
     } else {
         assert!(
             line.contains("\"kind\":\"internal\""),
             "seed {seed}: request {id} failed with an unexpected kind (only injected \
              compile panics may fail requests here): {line}"
         );
-        false
+        tally.internal += 1;
     }
 }
+
+/// A `batch` response over every distinct request: each element is the
+/// control body byte for byte, or an inline typed `internal` error (an
+/// injected compile panic). The expected line is re-rendered with the
+/// protocol's own renderer and compared whole.
+fn check_batch(seed: u64, id: u64, line: &str, control: &[String], tally: &mut Tally) {
+    let v = json::parse(line).unwrap_or_else(|e| panic!("seed {seed}: batch {id}: {e}: {line}"));
+    let results = v
+        .get("results")
+        .and_then(Value::as_arr)
+        .unwrap_or_else(|| panic!("seed {seed}: batch {id} is not an ok batch: {line}"));
+    assert_eq!(results.len(), control.len(), "seed {seed}: batch {id} element count: {line}");
+    let elements: Vec<String> = results
+        .iter()
+        .zip(control)
+        .map(|(r, body)| match r.get("kind").and_then(Value::as_str) {
+            None => {
+                tally.ok += 1;
+                body.clone()
+            }
+            Some("internal") => {
+                tally.internal += 1;
+                let message = r.get("message").and_then(Value::as_str).unwrap_or_default();
+                format!("{{\"kind\":\"internal\",\"message\":\"{}\"}}", json::escape(message))
+            }
+            Some(kind) => panic!("seed {seed}: batch {id} has an unexpected `{kind}` element"),
+        })
+        .collect();
+    assert_eq!(
+        line,
+        batch_response(id, &elements),
+        "seed {seed}: ok batch elements of {id} diverged from the fault-free control"
+    );
+}
+
+/// Ids of the interleaved `batch` and `stats` requests, far above every
+/// compile wave's ids.
+const BATCH_ID: u64 = 1 << 40;
+const STATS_ID: u64 = BATCH_ID + 1;
 
 struct SeedOutcome {
     injected: FaultCounters,
@@ -178,17 +257,32 @@ fn run_seed(seed: u64, reqs: &[CompileRequest], control: &[String], jobs: usize)
     ));
 
     let n = reqs.len() as u64;
-    // Cold + warm direct waves: ids 0..n and n..2n, one capture sink
-    // per request so exactly-once is checkable per request.
-    let mut sinks = Vec::new();
+    // Cold + warm direct waves as the default client: compile ids 0..n
+    // and n..2n, a `batch` of every request halfway through the cold
+    // wave and a `stats` halfway through the warm one. One capture sink
+    // for the whole stream, so exactly-once and submission order are
+    // both checkable.
+    let (direct_sink, direct_buf) = capture();
+    let mut direct = Vec::new();
+    let mut submit = |request: Request, sent: Sent| {
+        let id = request.id();
+        batcher
+            .submit(request, Arc::clone(&direct_sink))
+            .unwrap_or_else(|e| panic!("seed {seed}: admission rejected id {id}: {e}"));
+        direct.push(sent);
+    };
     for wave in 0..2u64 {
         for (i, r) in reqs.iter().enumerate() {
+            if i == reqs.len() / 2 {
+                if wave == 0 {
+                    let batch = Request::Batch { id: BATCH_ID, reqs: reqs.to_vec() };
+                    submit(batch, Sent::Batch { id: BATCH_ID });
+                } else {
+                    submit(Request::Stats { id: STATS_ID }, Sent::Stats { id: STATS_ID });
+                }
+            }
             let id = wave * n + i as u64;
-            let (sink, buf) = capture();
-            batcher
-                .submit(Request::Compile { id, req: Box::new(r.clone()) }, sink)
-                .unwrap_or_else(|e| panic!("seed {seed}: admission rejected id {id}: {e}"));
-            sinks.push((id, i, buf));
+            submit(Request::Compile { id, req: Box::new(r.clone()) }, Sent::Compile { id, i });
         }
     }
 
@@ -230,9 +324,10 @@ fn run_seed(seed: u64, reqs: &[CompileRequest], control: &[String], jobs: usize)
     // concurrently, with the plan occasionally turning one submission
     // into a greedy back-to-back burst. Quota rejections are legal (and
     // must be the typed overloaded error); every *admitted* submission
-    // is held to the same exactly-once + byte-identity bar as the
-    // direct waves. Ids 3n.. are partitioned per thread so a duplicate
-    // or cross-wiring is unmistakable.
+    // is held to the same exactly-once, in-order and byte-identity bar
+    // as the direct waves, through one sink per client. Ids 3n.. are
+    // partitioned per thread so a duplicate or cross-wiring is
+    // unmistakable.
     let mut burst_admitted = 0u64;
     let mut burst_rejected = 0u64;
     let threads: Vec<_> = (0..BURST_CLIENTS)
@@ -242,6 +337,7 @@ fn run_seed(seed: u64, reqs: &[CompileRequest], control: &[String], jobs: usize)
             let reqs = reqs.to_vec();
             std::thread::spawn(move || {
                 let cid = b.register_client();
+                let (sink, buf) = capture();
                 let mut admitted = Vec::new();
                 let mut rejected = 0u64;
                 let mut seq = 0u64;
@@ -250,13 +346,12 @@ fn run_seed(seed: u64, reqs: &[CompileRequest], control: &[String], jobs: usize)
                     for _ in 0..copies {
                         let id = 3 * n + t * 100_000 + seq;
                         seq += 1;
-                        let (sink, buf) = capture();
                         match b.submit_for(
                             cid,
                             Request::Compile { id, req: Box::new(r.clone()) },
-                            sink,
+                            Arc::clone(&sink),
                         ) {
-                            Ok(()) => admitted.push((id, i, buf)),
+                            Ok(()) => admitted.push(Sent::Compile { id, i }),
                             Err(sv_serve::ServeError::Overloaded { .. }) => rejected += 1,
                             Err(e) => panic!(
                                 "seed {seed}: burst client {t} id {id} rejected with an \
@@ -266,15 +361,16 @@ fn run_seed(seed: u64, reqs: &[CompileRequest], control: &[String], jobs: usize)
                     }
                 }
                 b.deregister_client(cid);
-                (admitted, rejected)
+                (admitted, buf, rejected)
             })
         })
         .collect();
+    let mut bursts = Vec::new();
     for th in threads {
-        let (admitted, rejected) = th.join().expect("burst client thread");
+        let (admitted, buf, rejected) = th.join().expect("burst client thread");
         burst_admitted += admitted.len() as u64;
         burst_rejected += rejected;
-        sinks.extend(admitted);
+        bursts.push((admitted, buf));
     }
 
     // Liveness: the daemon must finish alive — a typed Err here means
@@ -286,15 +382,12 @@ fn run_seed(seed: u64, reqs: &[CompileRequest], control: &[String], jobs: usize)
         .join()
         .unwrap_or_else(|e| panic!("seed {seed}: daemon died: {e}"));
 
-    // Exactly-once + byte-identity for the direct waves.
-    let mut ok = 0u64;
-    let mut internal = 0u64;
-    for (id, i, buf) in &sinks {
-        if check_response(seed, *id, buf, &control[*i]) {
-            ok += 1;
-        } else {
-            internal += 1;
-        }
+    // Exactly-once, per-client order and byte-identity for the direct
+    // stream and every burst client's stream.
+    let mut tally = Tally::default();
+    check_stream(seed, "the direct stream", &direct_buf, &direct, control, &mut tally);
+    for (t, (admitted, buf)) in bursts.iter().enumerate() {
+        check_stream(seed, &format!("burst client {t}"), buf, admitted, control, &mut tally);
     }
 
     // Crash-safe recovery: a faultless reopen sweeps the directory —
@@ -339,8 +432,8 @@ fn run_seed(seed: u64, reqs: &[CompileRequest], control: &[String], jobs: usize)
 
     SeedOutcome {
         injected,
-        ok,
-        internal,
+        ok: tally.ok,
+        internal: tally.internal,
         client_ok,
         client_give_ups: client_stats.give_ups,
         client_retries: client_stats.retries,
@@ -362,10 +455,7 @@ fn main() -> ExitCode {
     // backtrace spam, but keep real (un-injected) panics loud.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        let msg = info.payload().downcast_ref::<&str>().map(|s| s.to_string()).or_else(|| {
-            info.payload().downcast_ref::<String>().cloned()
-        });
-        if !msg.as_deref().is_some_and(|m| m.contains("injected")) {
+        if !panic_message(info.payload()).contains("injected") {
             default_hook(info);
         }
     }));
@@ -404,8 +494,9 @@ fn main() -> ExitCode {
     }
     let n_seeds = opts.seeds.end - opts.seeds.start;
     println!(
-        "chaos: {n_seeds} seeds × {} requests: {ok} ok + {internal} typed-internal direct \
-         responses (exactly-once held), {client_ok} client oks ({retries} retries, \
+        "chaos: {n_seeds} seeds × {} compiles + 1 batch + 1 stats: {ok} ok + {internal} \
+         typed-internal compile results (direct, batch elements and concurrent clients; \
+         exactly-once and per-client order held), {client_ok} client oks ({retries} retries, \
          {give_ups} give-ups), {burst_admitted} concurrent-client admissions \
          ({burst_rejected} typed quota rejections), {} faults injected",
         reqs.len() * 2,

@@ -119,31 +119,6 @@ fn compile_job(
     Ok((outcome(&c, m), report, resource_limited))
 }
 
-/// Compile one loop under every evaluated technique (serially).
-///
-/// # Errors
-///
-/// Returns an [`EvalError`] naming the loop and technique if any
-/// compilation fails — workload loops normally always schedule.
-pub fn evaluate_loop(
-    l: &Loop,
-    m: &MachineConfig,
-    cfg: &SelectiveConfig,
-) -> Result<LoopReport, EvalError> {
-    let mut outcomes = BTreeMap::new();
-    let mut reports = BTreeMap::new();
-    let mut resource_limited = true;
-    for (s, key) in EVALUATED {
-        let (o, report, rl) = compile_job(l, m, cfg, s)?;
-        if s == Strategy::ModuloOnly {
-            resource_limited = rl;
-        }
-        outcomes.insert(key, o);
-        reports.insert(key, report);
-    }
-    Ok(LoopReport { name: l.name.clone(), resource_limited, outcomes, reports })
-}
-
 /// Evaluate a whole suite on `jobs` worker threads.
 ///
 /// The job list is the flattened (loop × strategy) cross product in the
@@ -763,13 +738,13 @@ mod tests {
         // the unrolled scalar baseline, traditional vectorization, and
         // all-or-nothing full vectorization on the paper machine.
         let m = MachineConfig::paper_default();
-        let suite = benchmark("swim").unwrap();
-        let l = suite
+        let suite = evaluate_suite(&benchmark("swim").unwrap(), &m, &SelectiveConfig::default(), 2)
+            .unwrap();
+        let r = suite
             .loops
             .iter()
             .find(|l| l.name.ends_with("wetdry"))
             .expect("swim.wetdry in suite");
-        let r = evaluate_loop(l, &m, &SelectiveConfig::default()).unwrap();
         let sel = r.outcomes["selective"].cycles;
         let trad = r.outcomes["traditional"].cycles;
         let full = r.outcomes["full"].cycles;

@@ -288,9 +288,11 @@ impl DriverConfig {
             Some(n) => n.to_string(),
             None => "none".into(),
         };
-        // `catch_panics = true` is a literal: panic containment was once a
-        // knob and is now unconditional. The line stays so every request
-        // key, and with it every deployed v3 disk tier, stays
+        // `selective.pressure_aware = false` and `catch_panics = true` are
+        // literals: pressure-aware partitioning and panic containment were
+        // once knobs (the first never changed a partition and was retired,
+        // the second is now unconditional). The lines stay so every
+        // request key, and with it every deployed v3 disk tier, stays
         // byte-identical without a `KEY_SCHEMA` bump.
         format!(
             "strategy = {}\n\
@@ -298,7 +300,7 @@ impl DriverConfig {
              selective.squares_tiebreak = {}\n\
              selective.max_iterations = {}\n\
              selective.max_moves = {}\n\
-             selective.pressure_aware = {}\n\
+             selective.pressure_aware = false\n\
              schedule.budget_ratio = {}\n\
              schedule.max_ii_slack = {}\n\
              verify_boundaries = {}\n\
@@ -309,7 +311,6 @@ impl DriverConfig {
             self.selective.squares_tiebreak,
             opt(self.selective.max_iterations.map(u64::from)),
             opt(self.selective.max_moves),
-            self.selective.pressure_aware,
             self.schedule.budget_ratio,
             self.schedule.max_ii_slack,
             self.verify_boundaries,
@@ -451,6 +452,19 @@ pub fn json_escape(s: &str) -> String {
         }
     }
     out
+}
+
+/// Render a caught panic payload (a `&str` or `String` message) for typed
+/// errors and event logs — the one the driver's and the serving layer's
+/// panic containment share.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }
 
 impl CompilationReport {
@@ -791,17 +805,6 @@ fn needs_cleanup(looop: &Loop) -> bool {
             && looop.trip.count.is_multiple_of(u64::from(looop.iter_scale)))
 }
 
-/// Render a contained panic payload.
-fn payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Compile `l` for machine `m` under the hardened driver: typed errors,
 /// pass-boundary verification, deterministic budgets and graceful strategy
 /// degradation per [`DriverConfig`], and unconditional panic containment.
@@ -851,7 +854,7 @@ pub fn compile_checked(
             Err(payload) => Err(CompileError::Internal {
                 strategy,
                 looop: l.name.clone(),
-                payload: payload_string(payload),
+                payload: panic_message(payload.as_ref()),
                 dump: l.to_string(),
             }),
         };

@@ -40,8 +40,8 @@ pub use cache::{
     DiskFaults, RecoveryReport, ShardStats, WriteFault,
 };
 pub use driver::{
-    compile_checked, json_escape, CompilationReport, CompileError, DriverConfig, Fallback,
-    Pass, PassStats,
+    compile_checked, json_escape, panic_message, CompilationReport, CompileError, DriverConfig,
+    Fallback, Pass, PassStats,
 };
 pub use optimal::{optimal_search, OptimalConfig, OptimalReport, OptimalWitness};
 pub use partition::{partition_ops, PartitionResult, SelectiveConfig};

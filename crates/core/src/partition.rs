@@ -43,12 +43,6 @@ pub struct SelectiveConfig {
     /// [`PartitionResult::budget_exhausted`], which the compilation driver
     /// treats as grounds for strategy degradation.
     pub max_moves: Option<u64>,
-    /// §6 extension: break cost ties toward the configuration with the
-    /// lower static register-pressure estimate, spreading values across
-    /// both register files ("selective vectorization can reduce spilling
-    /// by using both sets of registers"). Off by default — the paper's
-    /// algorithm ignores pressure.
-    pub pressure_aware: bool,
 }
 
 impl Default for SelectiveConfig {
@@ -58,7 +52,6 @@ impl Default for SelectiveConfig {
             squares_tiebreak: true,
             max_iterations: None,
             max_moves: None,
-            pressure_aware: false,
         }
     }
 }
@@ -248,34 +241,6 @@ fn merge_into(into: &mut sv_modsched::Placement, from: sv_modsched::Placement) {
     into.extend(from);
 }
 
-/// Static register-pressure imbalance estimate for a configuration: the
-/// summed overflow of value counts past each register file, where a
-/// scalar op holds `k` values (one per lane) in its scalar file and a
-/// vector op holds one value in its (smaller) vector file. Coarse by
-/// design — it only has to *order* configurations, the scheduler's
-/// MaxLive does the real check.
-fn pressure_overflow(model: &CostModel<'_>, part: &[bool]) -> u64 {
-    use sv_ir::RegClass;
-    let mut counts = [0u64; 4];
-    for (i, op) in model.l.ops.iter().enumerate() {
-        if !op.defines_value() {
-            continue;
-        }
-        let class = if part[i] {
-            RegClass::of(op.opcode.ty, true)
-        } else {
-            RegClass::of(op.opcode.ty, false)
-        };
-        let slot = RegClass::ALL.iter().position(|&c| c == class).expect("indexed");
-        counts[slot] += if part[i] { 1 } else { u64::from(model.k) };
-    }
-    RegClass::ALL
-        .iter()
-        .enumerate()
-        .map(|(slot, &c)| counts[slot].saturating_sub(u64::from(model.m.regs.size(c))))
-        .sum()
-}
-
 /// Complete bin-packing of a configuration (Figure 2, BIN-PACK): loop
 /// overhead first, then every operation in most-constrained-first order,
 /// then the required transfers. Returns the bins and per-op placements.
@@ -421,7 +386,7 @@ fn kl_descend(
         let movable_count = movable.iter().filter(|&&v| v).count();
         for _ in 0..movable_count {
             // FIND-OP-TO-SWITCH: probe each unlocked candidate.
-            let mut best_probe: Option<((u32, u64, u64), usize)> = None;
+            let mut best_probe: Option<((u32, u64), usize)> = None;
             for i in 0..n {
                 if !movable[i] || locked[i] {
                     continue;
@@ -432,19 +397,7 @@ fn kl_descend(
                 }
                 moves_evaluated += 1;
                 let cost = probe_switch(model, &mut packed, &mut part, i);
-                let pressure = if cfg.pressure_aware {
-                    part[i] = !part[i];
-                    let p = pressure_overflow(model, &part);
-                    part[i] = !part[i];
-                    p
-                } else {
-                    0
-                };
-                let key = if cfg.squares_tiebreak {
-                    (cost.0, pressure, cost.1)
-                } else {
-                    (cost.0, pressure, 0)
-                };
+                let key = if cfg.squares_tiebreak { cost } else { (cost.0, 0) };
                 if best_probe.is_none_or(|(bc, bi)| key < bc || (key == bc && i < bi)) {
                     best_probe = Some((key, i));
                 }

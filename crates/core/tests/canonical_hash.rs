@@ -129,16 +129,6 @@ fn key_changes_with_machine_and_every_driver_knob() {
             },
         ),
         (
-            "selective.pressure_aware",
-            DriverConfig {
-                selective: SelectiveConfig {
-                    pressure_aware: !base.selective.pressure_aware,
-                    ..base.selective.clone()
-                },
-                ..base.clone()
-            },
-        ),
-        (
             "selective.max_iterations",
             DriverConfig {
                 selective: SelectiveConfig {

@@ -23,7 +23,7 @@
 //! never gates feasibility, mirroring the driver, which accepts
 //! over-pressure schedules rather than failing compilation.
 
-use crate::mii::edge_delay;
+use crate::mii::{compute_recmii, compute_resmii, edge_delay};
 use crate::sched::{compute_heights, Assignments, Schedule};
 use sv_analysis::{strongly_connected_components, DepGraph};
 use sv_ir::{Loop, OpId};
@@ -711,7 +711,8 @@ fn build_schedule(
         }
     }
 
-    Schedule::finish(l, g, m, ii, times, assignments, vec![ii])
+    let bounds = (compute_resmii(l, m), compute_recmii(l, g, m));
+    Schedule::finish(l, g, m, bounds, ii, (times, assignments), vec![ii])
 }
 
 #[cfg(test)]

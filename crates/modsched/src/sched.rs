@@ -1,6 +1,6 @@
 //! Rau's iterative modulo scheduling.
 
-use crate::mii::{compute_mii, compute_recmii, compute_resmii, edge_delay};
+use crate::mii::{compute_recmii, compute_resmii, edge_delay};
 use crate::pressure::{max_live, mve_factor};
 use sv_analysis::DepGraph;
 use sv_ir::{Loop, RegClass};
@@ -69,15 +69,15 @@ pub struct Schedule {
 impl Schedule {
     /// A schedule from a feasible placement at `ii`, with the derived
     /// fields both schedulers (iterative and exact) report: the loop's
-    /// ResMII and RecMII, length, stage count, MaxLive, the MVE factor and
-    /// the register-pressure verdict.
+    /// ResMII and RecMII (computed once by the caller), length, stage
+    /// count, MaxLive, the MVE factor and the register-pressure verdict.
     pub(crate) fn finish(
         l: &Loop,
         g: &DepGraph,
         m: &MachineConfig,
+        (resmii, recmii): (u32, u32),
         ii: u32,
-        times: Vec<u32>,
-        assignments: Assignments,
+        (times, assignments): (Vec<u32>, Assignments),
         iis_tried: Vec<u32>,
     ) -> Schedule {
         let length = times.iter().copied().max().unwrap_or(0) + 1;
@@ -93,8 +93,8 @@ impl Schedule {
             && stage_count <= m.regs.predicates;
         Schedule {
             ii,
-            resmii: compute_resmii(l, m),
-            recmii: compute_recmii(l, g, m),
+            resmii,
+            recmii,
             times,
             assignments,
             length,
@@ -171,17 +171,20 @@ pub fn modulo_schedule_with(
     m: &MachineConfig,
     cfg: &ScheduleConfig,
 ) -> Result<Schedule, ScheduleError> {
-    let mii = compute_mii(l, g, m);
+    // ResMII and RecMII once per call: they seed the II search here and
+    // are reported on whichever schedule is returned.
+    let (resmii, recmii) = (compute_resmii(l, m), compute_recmii(l, g, m));
+    let mii = resmii.max(recmii).max(1);
     let mut first_fit: Option<Schedule> = None;
     let mut pressure_retries = 0u32;
     let mut iis_tried: Vec<u32> = Vec::new();
 
     for ii in mii..=mii.saturating_add(cfg.max_ii_slack) {
         iis_tried.push(ii);
-        let Some((times, assignments)) = try_ii(l, g, m, ii, cfg.budget_ratio) else {
+        let Some(placement) = try_ii(l, g, m, ii, cfg.budget_ratio) else {
             continue;
         };
-        let sched = Schedule::finish(l, g, m, ii, times, assignments, iis_tried.clone());
+        let sched = Schedule::finish(l, g, m, (resmii, recmii), ii, placement, iis_tried.clone());
         if sched.register_pressure_ok {
             return Ok(sched);
         }

@@ -32,9 +32,14 @@
 //! always-registered [`DEFAULT_CLIENT`], whose quota is then the whole
 //! queue — the pre-multi-tenant behavior, byte for byte.
 //!
+//! Each submission is queued as the decoded [`Request`] itself, behind
+//! one `Arc`: the client sub-queue, the in-flight ledger and the drainer
+//! share it, so no request body is copied between admission and its
+//! response.
+//!
 //! ## Fault containment
 //!
-//! Each batch entry compiles under `catch_unwind`: a poisoned request
+//! Each compile runs under `catch_unwind`: a poisoned request
 //! answers *itself* with a typed `internal` error instead of killing the
 //! batch. The drainer itself runs under a **supervisor** thread that
 //! holds the exactly-once response invariant: work the drainer has taken
@@ -67,6 +72,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+use sv_core::panic_message;
 use sv_core::parallel::run_ordered;
 
 /// Where a response line goes (stdout, a TCP stream, or a test buffer).
@@ -83,17 +89,6 @@ pub const MAX_FRUITLESS_RESTARTS: u32 = 8;
 /// supervisor exists to handle, never a reason to kill the daemon.
 fn lock_recover<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Render a panic payload for typed error messages and event logs.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Queue and batching knobs.
@@ -123,49 +118,34 @@ impl Default for BatchConfig {
 /// the whole queue capacity.
 pub const DEFAULT_CLIENT: u64 = 0;
 
-/// One queued unit of work.
-enum Work {
-    Compile { id: u64, req: Box<CompileRequest> },
-    Batch { id: u64, reqs: Vec<CompileRequest> },
-    Machines { id: u64 },
-    Stats { id: u64 },
-    Metrics { id: u64 },
-    Shutdown { id: u64 },
-}
-
-impl Work {
-    /// Queue weight: how many compiles this admits.
-    fn weight(&self) -> usize {
-        match self {
-            Work::Compile { .. } => 1,
-            Work::Batch { reqs, .. } => reqs.len(),
-            Work::Machines { .. }
-            | Work::Stats { .. }
-            | Work::Metrics { .. }
-            | Work::Shutdown { .. } => 0,
-        }
-    }
-
-    /// The client correlation id.
-    fn id(&self) -> u64 {
-        match self {
-            Work::Compile { id, .. }
-            | Work::Batch { id, .. }
-            | Work::Machines { id }
-            | Work::Stats { id }
-            | Work::Metrics { id }
-            | Work::Shutdown { id } => *id,
-        }
+/// Queue weight of a request: how many compiles it admits.
+fn weight(req: &Request) -> usize {
+    match req {
+        Request::Compile { .. } => 1,
+        Request::Batch { reqs, .. } => reqs.len(),
+        Request::Machines { .. }
+        | Request::Stats { .. }
+        | Request::Metrics { .. }
+        | Request::Shutdown { .. } => 0,
     }
 }
 
+/// One admitted submission. The sub-queue, the in-flight ledger and the
+/// drainer hold clones that share the one decoded request.
+#[derive(Clone)]
 struct Item {
-    work: Work,
+    req: Arc<Request>,
     out: Sink,
     submitted: Instant,
     /// The registered client that submitted this (fairness accounting
     /// and re-queue targeting after drainer deaths).
     client: u64,
+}
+
+impl Item {
+    fn is_compile(&self) -> bool {
+        matches!(*self.req, Request::Compile { .. })
+    }
 }
 
 /// One client's private FIFO sub-queue.
@@ -194,7 +174,7 @@ struct Queue {
     /// starts at the following id (wrapping), which is what makes the
     /// drain round-robin rather than lowest-id-wins.
     rr_cursor: u64,
-    /// Sum of queued [`Work::weight`]s across all clients.
+    /// Sum of queued request weights across all clients.
     weight: usize,
     /// Set by `shutdown` or [`Batcher::close`]; stops admissions and
     /// flushes immediately.
@@ -478,25 +458,17 @@ impl Batcher {
         request: Request,
         out: Sink,
     ) -> Result<(), ServeError> {
-        let work = match request {
-            Request::Compile { id, req } => Work::Compile { id, req },
-            Request::Batch { id, reqs } => Work::Batch { id, reqs },
-            Request::Machines { id } => Work::Machines { id },
-            Request::Stats { id } => Work::Stats { id },
-            Request::Metrics { id } => Work::Metrics { id },
-            Request::Shutdown { id } => Work::Shutdown { id },
-        };
         // A deadline of zero is already expired the instant it is
         // submitted (deadlines are measured from submission): reject at
         // admission so it never occupies queue weight and never displaces
         // a servable request.
-        if let Work::Compile { req, .. } = &work {
+        if let Request::Compile { req, .. } = &request {
             if req.timeout == Some(Duration::ZERO) {
                 self.inner.deadline_rejected.fetch_add(1, Ordering::Relaxed);
                 return Err(ServeError::DeadlineExceeded { timeout_ms: 0 });
             }
         }
-        let w = work.weight();
+        let w = weight(&request);
         let cap = self.inner.cfg.queue_cap;
         if w > cap {
             return Err(ServeError::BadRequest {
@@ -534,7 +506,7 @@ impl Batcher {
             return Err(ServeError::Overloaded { cap: quota, retry_after_ms: hint });
         }
         c.queued += w;
-        c.items.push_back(Item { work, out, submitted: Instant::now(), client });
+        c.items.push_back(Item { req: Arc::new(request), out, submitted: Instant::now(), client });
         q.weight += w;
         self.inner.submitted.fetch_add(1, Ordering::Relaxed);
         self.inner.cv.notify_all();
@@ -604,24 +576,14 @@ impl Drop for Batcher {
     }
 }
 
-/// One compile taken off the queue (the authoritative [`Item`] stays in
-/// the in-flight ledger until its response is written).
-struct RunEntry {
-    id: u64,
-    req: CompileRequest,
-    out: Sink,
-    submitted: Instant,
-}
-
-/// What the drainer decided to do with the queue head. Every variant
-/// except `Exit` has its item(s) registered in the in-flight ledger.
+/// What the drainer decided to do with the queue head. The items of
+/// `Run` and `One` are already in the in-flight ledger; the drainer holds
+/// clones sharing their requests.
 enum Action {
-    Run(Vec<RunEntry>),
-    Batch { id: u64, reqs: Vec<CompileRequest>, out: Sink, submitted: Instant },
-    Machines { id: u64, out: Sink },
-    Stats { id: u64, out: Sink },
-    Metrics { id: u64, out: Sink },
-    Shutdown { id: u64, out: Sink },
+    /// A gathered run of compiles.
+    Run(Vec<Item>),
+    /// One non-compile request.
+    One(Item),
     Exit,
 }
 
@@ -644,35 +606,16 @@ fn next_action(inner: &Inner) -> Action {
             q = inner.cv.wait(q).unwrap_or_else(PoisonError::into_inner);
             continue;
         };
-        if !matches!(q.clients[&first].items[0].work, Work::Compile { .. }) {
+        if !q.clients[&first].items[0].is_compile() {
             let c = q.clients.get_mut(&first).expect("candidate exists");
             let item = c.items.pop_front().expect("checked non-empty");
-            let w = item.work.weight();
+            let w = weight(&item.req);
             c.queued -= w;
             q.weight -= w;
             q.rr_cursor = first;
             q.prune(first);
-            let action = match &item.work {
-                Work::Batch { id, reqs } => Action::Batch {
-                    id: *id,
-                    reqs: reqs.clone(),
-                    out: Arc::clone(&item.out),
-                    submitted: item.submitted,
-                },
-                Work::Machines { id } => {
-                    Action::Machines { id: *id, out: Arc::clone(&item.out) }
-                }
-                Work::Stats { id } => Action::Stats { id: *id, out: Arc::clone(&item.out) },
-                Work::Metrics { id } => {
-                    Action::Metrics { id: *id, out: Arc::clone(&item.out) }
-                }
-                Work::Shutdown { id } => {
-                    Action::Shutdown { id: *id, out: Arc::clone(&item.out) }
-                }
-                Work::Compile { .. } => unreachable!("head checked non-compile"),
-            };
-            lock_recover(&inner.in_flight).push_back(item);
-            return action;
+            lock_recover(&inner.in_flight).push_back(item.clone());
+            return Action::One(item);
         }
         // The round-robin head is a compile: plan a run by cycling the
         // candidate clients, taking one queued compile per client per
@@ -685,7 +628,7 @@ fn next_action(inner: &Inner) -> Action {
             for &id in &order {
                 let k = taken.get(&id).copied().unwrap_or(0);
                 if let Some(item) = q.clients[&id].items.get(k) {
-                    if matches!(item.work, Work::Compile { .. }) {
+                    if item.is_compile() {
                         oldest = oldest.min(item.submitted);
                         plan.push(id);
                         *taken.entry(id).or_insert(0) += 1;
@@ -711,30 +654,18 @@ fn next_action(inner: &Inner) -> Action {
             for &id in &plan {
                 let c = q.clients.get_mut(&id).expect("planned client exists");
                 let item = c.items.pop_front().expect("planned item exists");
-                c.queued -= item.work.weight();
+                c.queued -= weight(&item.req);
                 items.push(item);
             }
-            q.weight -= items.iter().map(|i| i.work.weight()).sum::<usize>();
+            q.weight -= items.iter().map(|i| weight(&i.req)).sum::<usize>();
             if let Some(&last) = plan.last() {
                 q.rr_cursor = last;
             }
             for &id in &plan {
                 q.prune(id);
             }
-            let entries: Vec<RunEntry> = items
-                .iter()
-                .map(|item| match &item.work {
-                    Work::Compile { id, req } => RunEntry {
-                        id: *id,
-                        req: (**req).clone(),
-                        out: Arc::clone(&item.out),
-                        submitted: item.submitted,
-                    },
-                    _ => unreachable!("runs hold only compiles"),
-                })
-                .collect();
-            lock_recover(&inner.in_flight).extend(items);
-            return Action::Run(entries);
+            lock_recover(&inner.in_flight).extend(items.iter().cloned());
+            return Action::Run(items);
         }
         let (guard, _) = inner
             .cv
@@ -750,12 +681,12 @@ fn next_action(inner: &Inner) -> Action {
 /// exactly-once invariant hold across drainer deaths: an item is either
 /// still in the ledger (unanswered, will be re-queued) or gone
 /// (answered, will not be).
-fn respond_and_retire(inner: &Inner, out: &Sink, expect_id: u64, line: &str) {
+fn respond_and_retire(inner: &Inner, item: &Item, line: &str) {
     let mut ledger = lock_recover(&inner.in_flight);
     // A dead sink (client hung up) only loses that client's response.
-    let _ = write_line(&mut *lock_recover(out), line);
+    let _ = write_line(&mut *lock_recover(&item.out), line);
     let retired = ledger.pop_front().expect("responding to an item not in the ledger");
-    debug_assert_eq!(retired.work.id(), expect_id, "ledger order must match response order");
+    debug_assert!(Arc::ptr_eq(&retired.req, &item.req), "ledger order must match response order");
     inner.lat.total.record_ns(retired.submitted.elapsed().as_nanos() as u64);
     inner.responses.fetch_add(1, Ordering::Relaxed);
 }
@@ -806,6 +737,14 @@ fn execute(
     })
 }
 
+/// The compile body of an item gathered into a run.
+fn compile_of(item: &Item) -> &CompileRequest {
+    match &*item.req {
+        Request::Compile { req, .. } => req,
+        _ => unreachable!("runs hold only compiles"),
+    }
+}
+
 /// The drainer thread: pop, execute, respond, until closed and empty.
 fn drain(inner: &Inner) {
     loop {
@@ -814,76 +753,84 @@ fn drain(inner: &Inner) {
         }
         match next_action(inner) {
             Action::Exit => return,
-            Action::Run(entries) => {
-                let taken_at = Instant::now();
-                for e in &entries {
-                    inner
-                        .lat
-                        .queue_wait
-                        .record_ns(taken_at.saturating_duration_since(e.submitted).as_nanos()
-                            as u64);
-                }
-                let panic_at =
-                    inner.faults.as_ref().and_then(|p| p.drainer_panic_point(entries.len()));
-                if panic_at == Some(0) {
-                    panic!("injected drainer panic (before batch execute)");
-                }
-                // One shared submission time keeps a run's deadline
-                // verdicts as conservative as its oldest member.
-                let oldest =
-                    entries.iter().map(|e| e.submitted).min().expect("non-empty run");
-                let reqs: Vec<&CompileRequest> = entries.iter().map(|e| &e.req).collect();
-                let results = execute(inner, &reqs, oldest);
-                for (k, (entry, result)) in entries.iter().zip(&results).enumerate() {
-                    let line = match result {
-                        Ok(body) => ok_response(entry.id, body),
-                        Err(e) => error_response(entry.id, e),
-                    };
-                    respond_and_retire(inner, &entry.out, entry.id, &line);
-                    if panic_at == Some(k + 1) {
-                        panic!("injected drainer panic (mid-batch after {} responses)", k + 1);
-                    }
-                }
-            }
-            Action::Batch { id, reqs, out, submitted } => {
-                inner.lat.queue_wait.record_ns(submitted.elapsed().as_nanos() as u64);
-                let refs: Vec<&CompileRequest> = reqs.iter().collect();
-                let results = execute(inner, &refs, submitted);
-                let elements: Vec<String> = results
-                    .iter()
-                    .map(|r| match r {
-                        Ok(body) => body.to_string(),
-                        Err(e) => error_object(e),
-                    })
-                    .collect();
-                respond_and_retire(inner, &out, id, &batch_response(id, &elements));
-            }
-            Action::Machines { id, out } => {
-                respond_and_retire(
-                    inner,
-                    &out,
-                    id,
-                    &ok_response(id, &inner.svc.machines_object()),
-                );
-            }
-            Action::Stats { id, out } => {
-                let result = format!(
-                    "{{\"cache\":{},\"queue\":{{{}}}}}",
-                    inner.svc.stats_object(),
-                    inner.stats().counters_json()
-                );
-                respond_and_retire(inner, &out, id, &ok_response(id, &result));
-            }
-            Action::Metrics { id, out } => {
-                let result = metrics_object(inner);
-                respond_and_retire(inner, &out, id, &ok_response(id, &result));
-            }
-            Action::Shutdown { id, out } => {
-                respond_and_retire(inner, &out, id, &ok_response(id, "{\"shutdown\":true}"));
-                lock_recover(&inner.q).closed = true;
-                inner.cv.notify_all();
-            }
+            Action::Run(items) => answer_run(inner, &items),
+            Action::One(item) => answer_one(inner, &item),
         }
+    }
+}
+
+/// Execute a gathered compile run on the worker pool and answer each
+/// member in order.
+fn answer_run(inner: &Inner, items: &[Item]) {
+    let taken_at = Instant::now();
+    for item in items {
+        let wait = taken_at.saturating_duration_since(item.submitted);
+        inner.lat.queue_wait.record_ns(wait.as_nanos() as u64);
+    }
+    let panic_at = inner.faults.as_ref().and_then(|p| p.drainer_panic_point(items.len()));
+    if panic_at == Some(0) {
+        panic!("injected drainer panic (before batch execute)");
+    }
+    // One shared submission time keeps a run's deadline verdicts as
+    // conservative as its oldest member.
+    let oldest = items.iter().map(|i| i.submitted).min().expect("non-empty run");
+    let reqs: Vec<&CompileRequest> = items.iter().map(compile_of).collect();
+    let results = execute(inner, &reqs, oldest);
+    for (k, (item, result)) in items.iter().zip(&results).enumerate() {
+        let id = item.req.id();
+        let line = match result {
+            Ok(body) => ok_response(id, body),
+            Err(e) => error_response(id, e),
+        };
+        respond_and_retire(inner, item, &line);
+        if panic_at == Some(k + 1) {
+            panic!("injected drainer panic (mid-batch after {} responses)", k + 1);
+        }
+    }
+}
+
+/// Answer one non-compile request. Under a chaos plan the drainer may die
+/// before the item is answered (it is re-queued) or right after (it is
+/// not), exactly as in a compile run of length one.
+fn answer_one(inner: &Inner, item: &Item) {
+    let panic_at = inner.faults.as_ref().and_then(|p| p.drainer_panic_point(1));
+    if panic_at == Some(0) {
+        panic!("injected drainer panic (before a single request)");
+    }
+    let id = item.req.id();
+    let line = match &*item.req {
+        Request::Batch { reqs, .. } => {
+            inner.lat.queue_wait.record_ns(item.submitted.elapsed().as_nanos() as u64);
+            let refs: Vec<&CompileRequest> = reqs.iter().collect();
+            let elements: Vec<String> = execute(inner, &refs, item.submitted)
+                .iter()
+                .map(|r| match r {
+                    Ok(body) => body.to_string(),
+                    Err(e) => error_object(e),
+                })
+                .collect();
+            batch_response(id, &elements)
+        }
+        Request::Machines { .. } => ok_response(id, &inner.svc.machines_object()),
+        Request::Stats { .. } => {
+            let result = format!(
+                "{{\"cache\":{},\"queue\":{{{}}}}}",
+                inner.svc.stats_object(),
+                inner.stats().counters_json()
+            );
+            ok_response(id, &result)
+        }
+        Request::Metrics { .. } => ok_response(id, &metrics_object(inner)),
+        Request::Shutdown { .. } => ok_response(id, "{\"shutdown\":true}"),
+        Request::Compile { .. } => unreachable!("compiles are answered in runs"),
+    };
+    respond_and_retire(inner, item, &line);
+    if matches!(*item.req, Request::Shutdown { .. }) {
+        lock_recover(&inner.q).closed = true;
+        inner.cv.notify_all();
+    }
+    if panic_at == Some(1) {
+        panic!("injected drainer panic (after a single request)");
     }
 }
 
@@ -925,7 +872,7 @@ fn requeue_in_flight(inner: &Inner) -> u64 {
     let mut ledger = lock_recover(&inner.in_flight);
     let n = ledger.len() as u64;
     while let Some(item) = ledger.pop_back() {
-        let w = item.work.weight();
+        let w = weight(&item.req);
         q.weight += w;
         let c = q
             .clients
@@ -958,7 +905,7 @@ fn fail_pending(inner: &Inner, reason: &str) {
     inner.cv.notify_all();
     for item in items {
         let e = ServeError::Internal { message: reason.to_string() };
-        let _ = write_line(&mut *lock_recover(&item.out), &error_response(item.work.id(), &e));
+        let _ = write_line(&mut *lock_recover(&item.out), &error_response(item.req.id(), &e));
         inner.responses.fetch_add(1, Ordering::Relaxed);
     }
 }

@@ -12,7 +12,7 @@
 //! | disk read | I/O error on a cache read | quarantine + recompile |
 //! | disk write | write error / torn write / orphaned tmp | read validation, [`sv_core::CompileCache::recover`] |
 //! | compile | panic or artificial slowness per batch entry | per-entry `catch_unwind` → typed `internal` |
-//! | drainer | panic before/mid-batch | supervisor respawn + exactly-once re-queue |
+//! | drainer | panic before/mid-run, or before/after a single non-compile request | supervisor respawn + exactly-once re-queue |
 //! | stall | drainer sleeps before an action | deadline verdicts, `overloaded` backpressure |
 //! | connection | response dropped on the client path | retrying client ([`crate::client`]) |
 //! | burst | one client floods a burst of extra submissions | fair admission, typed `overloaded` + `retry_after_ms` |
@@ -47,8 +47,9 @@ pub struct FaultConfig {
     pub slow_compile: f64,
     /// How slow a slow compile is.
     pub slow_compile_ms: u64,
-    /// Drainer panic per flushed run (the panic point — before execute
-    /// or after k responses — is drawn uniformly).
+    /// Drainer panic per flushed compile run or answered non-compile
+    /// request (the panic point — before execute or after k responses —
+    /// is drawn uniformly).
     pub drainer_panic: f64,
     /// Queue stall per drainer action.
     pub queue_stall: f64,
@@ -291,8 +292,9 @@ impl FaultPlan {
     }
 
     /// Whether (and where) the drainer should panic while handling a run
-    /// of `batch_len` entries: `Some(0)` panics before execution,
-    /// `Some(k)` after the `k`-th response has been written.
+    /// of `batch_len` entries (1 for a single non-compile request):
+    /// `Some(0)` panics before execution, `Some(k)` after the `k`-th
+    /// response has been written.
     pub fn drainer_panic_point(&self, batch_len: usize) -> Option<usize> {
         if !self.draw(Site::Drainer, self.cfg.drainer_panic) {
             return None;

@@ -151,8 +151,6 @@ pub struct CompileRequest {
     pub account_comm: bool,
     /// `SelectiveConfig::squares_tiebreak`.
     pub squares_tiebreak: bool,
-    /// `SelectiveConfig::pressure_aware`.
-    pub pressure_aware: bool,
     /// `DriverConfig::verify_boundaries`.
     pub verify_boundaries: bool,
     /// `DriverConfig::degrade`.
@@ -170,7 +168,6 @@ impl Default for CompileRequest {
             strategy: Strategy::Selective,
             account_comm: true,
             squares_tiebreak: true,
-            pressure_aware: false,
             verify_boundaries: true,
             degrade: true,
             timeout: None,
@@ -210,7 +207,6 @@ impl CompileRequest {
             selective: SelectiveConfig {
                 account_communication: self.account_comm,
                 squares_tiebreak: self.squares_tiebreak,
-                pressure_aware: self.pressure_aware,
                 ..SelectiveConfig::default()
             },
             verify_boundaries: self.verify_boundaries,
@@ -357,7 +353,6 @@ fn compile_body(v: &Value) -> Result<CompileRequest, ServeError> {
     };
     flag("account_comm", &mut req.account_comm)?;
     flag("squares_tiebreak", &mut req.squares_tiebreak)?;
-    flag("pressure_aware", &mut req.pressure_aware)?;
     flag("verify_boundaries", &mut req.verify_boundaries)?;
     flag("degrade", &mut req.degrade)?;
     if let Some(t) = v.get("timeout_ms") {

@@ -1,7 +1,7 @@
-//! Integration tests for the §6 extensions: widened scheduling windows,
-//! pressure-aware partitioning, and modulo variable expansion.
+//! Integration tests for the §6 extensions: widened scheduling windows
+//! and modulo variable expansion.
 
-use selvec::core::{compile, compile_with, SelectiveConfig, Strategy};
+use selvec::core::{compile, Strategy};
 use selvec::ir::{LoopBuilder, ScalarType};
 use selvec::machine::MachineConfig;
 use selvec::sim::assert_equivalent;
@@ -62,33 +62,6 @@ fn widened_window_falls_back_on_reductions() {
         base.ii_per_original_iteration()
     );
     assert_equivalent(&l, &wid);
-}
-
-#[test]
-fn pressure_aware_partitioning_never_costs_ii() {
-    // The pressure term only breaks ties, so the bin high-water mark of
-    // the chosen configuration must be unchanged.
-    let m = MachineConfig::paper_default();
-    let plain = SelectiveConfig::default();
-    let aware = SelectiveConfig { pressure_aware: true, ..Default::default() };
-    for suite in selvec::workloads::all_benchmarks().iter().take(3) {
-        for src in suite.loops.iter().take(8) {
-            // Remainder-free trip: carried register state does not flow
-            // into cleanup loops in the simulator (see sv-sim docs).
-            let mut l = src.clone();
-            l.trip.count = (l.trip.count.min(256) & !3).max(4);
-            l.invocations = 1;
-            let a = compile_with(&l, &m, Strategy::Selective, &plain).unwrap();
-            let b = compile_with(&l, &m, Strategy::Selective, &aware).unwrap();
-            assert_eq!(
-                a.partition.as_ref().unwrap().cost,
-                b.partition.as_ref().unwrap().cost,
-                "{}",
-                l.name
-            );
-            assert_equivalent(&l, &b);
-        }
-    }
 }
 
 #[test]
