@@ -50,7 +50,7 @@ echo "ci: executed schedules bit-identical at scheduled II (equiv suite + fuzz +
 # synthetic loops.
 cargo run --release -p sv-bench --bin fuzz -- --seeds 0..100 --optimal-selfcheck --fail-fast --jobs "$JOBS"
 cargo test --release -p sv-bench --test golden table_optimality_matches_golden
-cargo test --release -p sv-analysis --test optimal
+cargo test --release -p sv-core --test optimal
 echo "ci: oracle proved every suite loop on paper+vl4; gap table unchanged"
 
 # Compilation service gate: replay a fixed loadgen trace through svd

@@ -32,15 +32,11 @@
 mod brute;
 mod graph;
 mod legality;
-pub mod optimal;
 mod scc;
 mod subscript;
 
 pub use brute::brute_force_mem_deps;
 pub use graph::{DepEdge, DepGraph, DepKind};
 pub use legality::{vectorizable_ops, VecStatus};
-pub use optimal::{
-    branch_and_bound, BnbProblem, LeafEval, NodeBudget, OptimalOutcome, SearchStats,
-};
 pub use scc::{strongly_connected_components, Sccs};
 pub use subscript::{mem_dependences, Distance, FAR_BOUND};

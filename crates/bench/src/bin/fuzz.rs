@@ -183,8 +183,7 @@ fn optimal_selfcheck(
     m: &MachineConfig,
     selective: &sv_core::CompiledLoop,
 ) -> Result<(), String> {
-    use sv_analysis::OptimalOutcome;
-    use sv_core::{optimal_search, OptimalConfig};
+    use sv_core::{optimal_search, OptimalConfig, OptimalOutcome};
     let seed =
         selective.partition.as_ref().ok_or("selective delivery lost its partition")?;
     let heur_ii = selective.segments[0].schedule.ii;

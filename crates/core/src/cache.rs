@@ -3,7 +3,7 @@
 //! Autotuning-style clients (an RL loop searching vectorization settings,
 //! a global optimizer re-evaluating overlapping subproblems) issue the
 //! same `(loop, machine, configuration)` compile request thousands of
-//! times. [`compile_cached`] fronts [`compile_checked`] with a two-tier
+//! times. [`compile_cached`] fronts [`crate::compile_checked`] with a two-tier
 //! content-addressed cache keyed by [`request_key`] — a
 //! [`CanonicalHash`] over the loop's canonical display form plus
 //! fingerprints of the machine description and the full [`DriverConfig`]
@@ -26,7 +26,7 @@
 //! byte-identical results whether served cold, from memory, or from disk
 //! across a process restart.
 
-use crate::driver::{compile_checked, json_escape, CompilationReport, CompileError, DriverConfig};
+use crate::driver::{compile_until, json_escape, CompilationReport, CompileError, DriverConfig};
 use crate::pipeline::CompiledLoop;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -34,6 +34,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 use sv_ir::{CanonicalHash, CanonicalHasher, Loop};
 use sv_machine::MachineConfig;
 
@@ -729,29 +730,32 @@ pub fn render_result(
     out
 }
 
-/// [`compile_checked`] behind the two-tier cache: compute the
+/// [`crate::compile_checked`] behind the two-tier cache: compute the
 /// [`request_key`], serve from memory or disk when present, otherwise
 /// compile, render the canonical result, and write it through both tiers.
 /// Returns the rendered result and where it came from.
 ///
 /// Compile *errors* are not cached: pathological inputs re-diagnose on
 /// every request (they are rare and their diagnosis is the product).
+/// `deadline` is not part of the key; it stops an optimal-II search.
 ///
 /// # Errors
 ///
-/// Exactly [`compile_checked`]'s errors; the cache itself never fails a
+/// [`crate::compile_checked`]'s errors, and
+/// [`CompileError::DeadlineExceeded`]; the cache itself never fails a
 /// request.
 pub fn compile_cached(
     l: &Loop,
     m: &MachineConfig,
     cfg: &DriverConfig,
     cache: &CompileCache,
+    deadline: Option<Instant>,
 ) -> Result<(Arc<str>, CacheOutcome), CompileError> {
     let key = request_key(l, m, cfg);
     if let Some(hit) = cache.lookup(key) {
         return Ok(hit);
     }
-    let (c, report) = compile_checked(l, m, cfg)?;
+    let (c, report) = compile_until(l, m, cfg, deadline)?;
     let body: Arc<str> = Arc::from(render_result(key, m, &c, &report));
     cache.insert(key, Arc::clone(&body));
     Ok((body, CacheOutcome::Compiled))
@@ -760,6 +764,7 @@ pub fn compile_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile_checked;
     use crate::pipeline::Strategy;
     use sv_ir::{LoopBuilder, ScalarType};
 
@@ -781,9 +786,9 @@ mod tests {
         let m = MachineConfig::figure1();
         let cfg = DriverConfig::default();
         let l = dot("dot");
-        let (cold, o1) = compile_cached(&l, &m, &cfg, &cache).unwrap();
+        let (cold, o1) = compile_cached(&l, &m, &cfg, &cache, None).unwrap();
         assert_eq!(o1, CacheOutcome::Compiled);
-        let (warm, o2) = compile_cached(&l, &m, &cfg, &cache).unwrap();
+        let (warm, o2) = compile_cached(&l, &m, &cfg, &cache, None).unwrap();
         assert_eq!(o2, CacheOutcome::Memory);
         assert_eq!(cold, warm, "warm result must be byte-identical");
         let st = cache.stats();

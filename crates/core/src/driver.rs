@@ -27,12 +27,12 @@
 //! The historical [`crate::compile`] / [`crate::compile_with`] entry
 //! points are thin wrappers over this driver with default settings.
 
-use crate::optimal::{search, OptimalConfig};
+use crate::optimal::{search, OptimalConfig, OptimalOutcome};
 use crate::partition::{kl_partition, PartitionResult, Prices, SelectiveConfig};
 use crate::pipeline::{CompiledLoop, Segment, Strategy};
-use sv_analysis::OptimalOutcome;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Instant;
 use sv_analysis::DepGraph;
 use sv_ir::{Loop, VerifyError};
 use sv_machine::MachineConfig;
@@ -123,6 +123,15 @@ pub enum CompileError {
         /// Human-readable accounting (what budget, how much was spent).
         detail: String,
     },
+    /// The caller's deadline passed while a pass ran; no fallback is tried.
+    DeadlineExceeded {
+        /// The strategy being attempted.
+        strategy: Strategy,
+        /// The pass that was stopped.
+        pass: Pass,
+        /// Loop name.
+        looop: String,
+    },
     /// A pass produced a loop the IR verifier rejects — caught at the
     /// pass boundary.
     BoundaryVerify {
@@ -182,7 +191,8 @@ impl CompileError {
             CompileError::InvalidInput { .. } => Pass::Input,
             CompileError::Transform { .. } => Pass::Transform,
             CompileError::Schedule { .. } => Pass::Schedule,
-            CompileError::BudgetExhausted { pass, .. } => *pass,
+            CompileError::BudgetExhausted { pass, .. }
+            | CompileError::DeadlineExceeded { pass, .. } => *pass,
             CompileError::BoundaryVerify { .. } | CompileError::BoundaryValidate { .. } => {
                 Pass::Boundary
             }
@@ -198,6 +208,7 @@ impl CompileError {
             | CompileError::Transform { looop, .. }
             | CompileError::Schedule { looop, .. }
             | CompileError::BudgetExhausted { looop, .. }
+            | CompileError::DeadlineExceeded { looop, .. }
             | CompileError::BoundaryVerify { looop, .. }
             | CompileError::BoundaryValidate { looop, .. }
             | CompileError::Execution { looop, .. }
@@ -220,6 +231,9 @@ impl fmt::Display for CompileError {
             }
             CompileError::BudgetExhausted { strategy, pass, looop, detail } => {
                 write!(f, "[{strategy}/{pass}] `{looop}`: budget exhausted: {detail}")
+            }
+            CompileError::DeadlineExceeded { strategy, pass, looop } => {
+                write!(f, "[{strategy}/{pass}] `{looop}`: deadline passed")
             }
             CompileError::BoundaryVerify { strategy, pass, looop, error, dump } => write!(
                 f,
@@ -692,7 +706,7 @@ impl Attempt<'_> {
     }
 
     /// Run the whole attempt for this strategy.
-    fn run(&mut self, l: &Loop) -> Result<CompiledLoop, CompileError> {
+    fn run(&mut self, l: &Loop, deadline: Option<Instant>) -> Result<CompiledLoop, CompileError> {
         let m = self.m;
         let mut partition = None;
         let segments = match self.strategy {
@@ -735,7 +749,7 @@ impl Attempt<'_> {
                     // The selective result seeds the oracle as the
                     // incumbent and remains the delivered code when the
                     // proof closes on the incumbent itself.
-                    let (seg, p) = self.search(l, &g, &prices, r, incumbent)?;
+                    let (seg, p) = self.search(l, &g, &prices, r, incumbent, deadline)?;
                     partition = Some(p);
                     vec![seg]
                 }
@@ -759,9 +773,10 @@ impl Attempt<'_> {
     }
 
     /// The complete branch-and-bound, seeded with the selective
-    /// incumbent's achieved II as the bound. Delivers the oracle's witness
-    /// partition and schedule when it beats the incumbent, else the
-    /// incumbent, which the proof has then certified optimal.
+    /// incumbent's achieved II as the bound and stopped at `deadline`.
+    /// Delivers the oracle's witness partition and schedule when it beats
+    /// the incumbent, else the incumbent, which the proof has then
+    /// certified optimal.
     fn search(
         &mut self,
         l: &Loop,
@@ -769,12 +784,20 @@ impl Attempt<'_> {
         prices: &Prices,
         r: PartitionResult,
         incumbent: Segment,
+        deadline: Option<Instant>,
     ) -> Result<(Segment, PartitionResult), CompileError> {
         let t0 = std::time::Instant::now();
         let ii = incumbent.schedule.ii;
         let cfg = OptimalConfig::default();
-        let report = search(l, self.m, g, prices, &r.partition, ii, &cfg);
+        let report = search(l, self.m, g, prices, (&r.partition, ii), &cfg, deadline);
         self.stats.search_ns += t0.elapsed().as_nanos() as u64;
+        let Some(report) = report else {
+            return Err(CompileError::DeadlineExceeded {
+                strategy: self.strategy,
+                pass: Pass::Search,
+                looop: l.name.clone(),
+            });
+        };
         self.stats.search_nodes = report.stats.nodes;
         self.stats.search_probe = report.probe_spent;
         if let OptimalOutcome::BudgetExhausted { best_found } = report.outcome {
@@ -824,6 +847,17 @@ pub fn compile_checked(
     m: &MachineConfig,
     cfg: &DriverConfig,
 ) -> Result<(CompiledLoop, CompilationReport), CompileError> {
+    compile_until(l, m, cfg, None)
+}
+
+/// [`compile_checked`] with a `deadline` that stops the optimal-II
+/// search; the error it causes skips the degradation ladder.
+pub(crate) fn compile_until(
+    l: &Loop,
+    m: &MachineConfig,
+    cfg: &DriverConfig,
+    deadline: Option<Instant>,
+) -> Result<(CompiledLoop, CompilationReport), CompileError> {
     if let Err(error) = l.verify() {
         return Err(CompileError::InvalidInput {
             looop: l.name.clone(),
@@ -849,7 +883,7 @@ pub fn compile_checked(
         let mut attempt =
             Attempt { m, cfg, strategy, boundary_checks: 0, stats: PassStats::default() };
         let attempt_start = std::time::Instant::now();
-        let result = match catch_unwind(AssertUnwindSafe(|| attempt.run(l))) {
+        let result = match catch_unwind(AssertUnwindSafe(|| attempt.run(l, deadline))) {
             Ok(r) => r,
             Err(payload) => Err(CompileError::Internal {
                 strategy,
@@ -866,6 +900,7 @@ pub fn compile_checked(
                 report.stats = attempt.stats;
                 return Ok((compiled, report));
             }
+            Err(e @ CompileError::DeadlineExceeded { .. }) => return Err(e),
             Err(e) => {
                 if cfg.degrade {
                     if let Some(&next) = chain.get(i + 1) {

@@ -43,6 +43,8 @@ pub use driver::{
     compile_checked, json_escape, panic_message, CompilationReport, CompileError, DriverConfig,
     Fallback, Pass, PassStats,
 };
-pub use optimal::{optimal_search, OptimalConfig, OptimalReport, OptimalWitness};
+pub use optimal::{
+    optimal_search, OptimalConfig, OptimalOutcome, OptimalReport, OptimalWitness, SearchStats,
+};
 pub use partition::{partition_ops, PartitionResult, SelectiveConfig};
 pub use pipeline::{compile, compile_with, CompiledLoop, Segment, Strategy};

@@ -8,9 +8,11 @@
 //! partition of this loop can achieve on this machine — and does the
 //! heuristic reach it?
 //!
-//! The search is a branch-and-bound over per-op scalar/vector assignments
-//! (the generic engine lives in `sv_analysis::optimal`; this module is the
-//! problem instance):
+//! The search is a depth-first branch and bound over per-op
+//! scalar/vector assignments. Each node branches on one undecided op,
+//! trying the incumbent's assignment first, so the first dive reaches the
+//! heuristic's own leaf; a node whose lower bound reaches the incumbent
+//! is pruned.
 //!
 //! * **Nodes** are partial assignments over the movable ops. The oracle
 //!   prices a split from the same per-op price list as the KL
@@ -48,24 +50,53 @@
 //!   modulo-schedule feasibility is not monotone in II.
 //!
 //! Every improvement is a *witness*: the transformed loop plus a complete,
-//! validated [`Schedule`] at the improved II. [`OptimalOutcome::Proved`]
-//! is only returned when the tree closed within the node budget and every
-//! leaf probe was decisive; a single exhausted probe degrades the run to
+//! validated [`Schedule`] at the improved II. Two [`Budget`]s meter the
+//! work: one unit per tree node, and one per residue attempt shared by
+//! every exact probe. [`OptimalOutcome::Proved`] is only returned when
+//! the tree closed within the node budget and every leaf probe was
+//! decisive; a single exhausted probe degrades the run to
 //! [`OptimalOutcome::BudgetExhausted`] carrying the best witnessed value.
 //! Partitions the transformer rejects are excluded from the minimum — the
 //! oracle certifies the best *deliverable* II, the same space the driver
-//! can actually compile.
+//! can actually compile. A deadline, when the caller sets one, is polled
+//! by both budgets as they spend units; once it passes the search stops
+//! with no verdict at all.
 
 use crate::partition::Prices;
-use sv_analysis::{
-    branch_and_bound, BnbProblem, DepGraph, LeafEval, NodeBudget, OptimalOutcome, SearchStats,
-};
+use std::time::Instant;
+use sv_analysis::DepGraph;
 use sv_ir::Loop;
 use sv_machine::{MachineConfig, Reservation, ResourceClass};
 use sv_modsched::{
-    compute_mii, exact_schedule, recurrence_bound, ExactOutcome, ProbeBudget, Schedule,
+    compute_mii, exact_schedule, recurrence_bound, Budget, ExactOutcome, Schedule, Stop,
 };
 use sv_vectorize::try_transform;
+
+/// Final verdict of one oracle run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OptimalOutcome {
+    /// The search closed: this is the exact minimum II.
+    Proved(u32),
+    /// The node budget ran out (or a leaf probe was undecided) before the
+    /// tree closed; the true optimum may be smaller than `best_found`.
+    BudgetExhausted {
+        /// Best witnessed II when the search stopped.
+        best_found: u32,
+    },
+}
+
+/// Deterministic search effort counters, reported alongside the outcome.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchStats {
+    /// Tree nodes expanded (bound computed).
+    pub nodes: u64,
+    /// Nodes pruned by the lower bound.
+    pub pruned: u64,
+    /// Leaves evaluated exactly.
+    pub leaves: u64,
+    /// Leaf evaluations that improved the incumbent.
+    pub improved: u64,
+}
 
 /// Deterministic effort limits for one oracle run.
 #[derive(Debug, Clone)]
@@ -106,8 +137,6 @@ pub struct OptimalReport {
     pub probe_spent: u64,
     /// The root lower bound (every partition's II is at least this).
     pub root_lower_bound: u32,
-    /// Number of ops the search may move to the vector partition.
-    pub movable: u32,
     /// Witness for the best value when it improved on the incumbent;
     /// `None` when the incumbent partition already attains the outcome.
     pub witness: Option<OptimalWitness>,
@@ -168,7 +197,8 @@ fn class_cycles(reqs: &[Reservation]) -> [u64; NC] {
     out
 }
 
-/// The branch-and-bound problem instance over one loop × machine.
+/// The search over one loop × machine: the bound's precomputed
+/// footprints, the branch order, both budgets and the best witness.
 struct Oracle<'a> {
     l: &'a Loop,
     m: &'a MachineConfig,
@@ -192,7 +222,10 @@ struct Oracle<'a> {
     comm_fp: Vec<[[u64; NG]; 2]>,
     /// The global recurrence bound, computed once — partition-independent.
     rec_lb: u32,
-    probe: ProbeBudget,
+    /// One unit per tree node.
+    nodes: Budget,
+    /// One unit per residue attempt, shared by every exact probe.
+    probe: Budget,
     witness: Option<OptimalWitness>,
 }
 
@@ -203,7 +236,8 @@ impl<'a> Oracle<'a> {
         g: &DepGraph,
         prices: &'a Prices,
         guide: Vec<bool>,
-        probe_budget: u64,
+        cfg: &OptimalConfig,
+        deadline: Option<Instant>,
     ) -> Oracle<'a> {
         let pool = m.resource_pool();
         let k = u64::from(m.vector_length);
@@ -259,7 +293,8 @@ impl<'a> Oracle<'a> {
             vector_fp,
             comm_fp,
             rec_lb: recurrence_bound(l, g, m, m.vector_length),
-            probe: ProbeBudget::new(probe_budget),
+            nodes: Budget::new(cfg.max_nodes, deadline),
+            probe: Budget::new(cfg.probe_budget, deadline),
             witness: None,
         }
     }
@@ -388,39 +423,67 @@ impl<'a> Oracle<'a> {
         }
         lo as u32
     }
-}
 
-impl BnbProblem for Oracle<'_> {
-    type Node = Vec<Option<bool>>;
-
-    fn lower_bound(&mut self, node: &Self::Node) -> u32 {
+    /// A sound lower bound on every completion of `node`.
+    fn lower_bound(&self, node: &[Option<bool>]) -> u32 {
         self.rec_lb.max(self.resource_lb(node)).max(1)
     }
 
-    fn branch(&mut self, node: &Self::Node) -> Option<Vec<Self::Node>> {
-        let i = *self.order.iter().find(|&&i| node[i].is_none())?;
-        let mut first = node.clone();
-        let mut second = node.clone();
-        // Dive toward the incumbent's assignment first: the heuristic leaf
-        // is evaluated before anything else, so the incumbent tightens (or
-        // is confirmed) as early as possible.
-        first[i] = Some(self.guide[i]);
-        second[i] = Some(!self.guide[i]);
-        Some(vec![first, second])
+    /// Depth-first branch and bound from `root` against a witnessed
+    /// upper bound `incumbent`: returns the best II found and the effort
+    /// spent. A node whose bound reaches the best so far is pruned. The
+    /// search stops early when either budget refuses a unit; the caller
+    /// reads their [`Budget::stop`] for the verdict.
+    fn run(&mut self, root: Vec<Option<bool>>, incumbent: u32) -> (u32, SearchStats) {
+        let mut stats = SearchStats::default();
+        let mut best = incumbent;
+        let mut stack = vec![root];
+        while let Some(node) = stack.pop() {
+            if !self.nodes.step() {
+                break;
+            }
+            stats.nodes += 1;
+            if self.lower_bound(&node) >= best {
+                stats.pruned += 1;
+                continue;
+            }
+            // Branch on the first undecided op in branch order, diving
+            // toward the incumbent's assignment first: the heuristic
+            // leaf is evaluated before anything else, so the incumbent
+            // tightens (or is confirmed) as early as possible.
+            if let Some(&i) = self.order.iter().find(|&&i| node[i].is_none()) {
+                let mut first = node.clone();
+                let mut second = node;
+                first[i] = Some(self.guide[i]);
+                second[i] = Some(!self.guide[i]);
+                stack.push(second);
+                stack.push(first);
+                continue;
+            }
+            stats.leaves += 1;
+            if let Some(ii) = self.evaluate_leaf(&node, best) {
+                best = ii;
+                stats.improved += 1;
+            }
+            if self.probe.stop() == Some(Stop::Expired) {
+                break;
+            }
+        }
+        (best, stats)
     }
 
-    fn evaluate_leaf(&mut self, node: &Self::Node, incumbent: u32) -> LeafEval {
+    /// Exactly evaluate a complete assignment: the first II below
+    /// `incumbent` the exact probe finds feasible, with its witness
+    /// recorded, or `None` when no II below it is. A probe that runs out
+    /// of units decides nothing and also yields `None`; the probe
+    /// budget's stop records it.
+    fn evaluate_leaf(&mut self, node: &[Option<bool>], incumbent: u32) -> Option<u32> {
         let part: Vec<bool> = node.iter().map(|d| d.unwrap_or(false)).collect();
         // A partition the transformer rejects is not deliverable; it
         // cannot witness a minimum.
-        let Ok(t) = try_transform(self.l, self.m, &part) else {
-            return LeafEval::NoImprovement;
-        };
+        let t = try_transform(self.l, self.m, &part).ok()?;
         let g = DepGraph::build(&t.looop);
         let mii = compute_mii(&t.looop, &g, self.m);
-        if mii >= incumbent {
-            return LeafEval::NoImprovement;
-        }
         // Feasibility is not monotone in II: probe each candidate in
         // ascending order and take the first feasible one.
         for ii in mii..incumbent {
@@ -431,13 +494,13 @@ impl BnbProblem for Oracle<'_> {
                         looop: t.looop,
                         schedule: *s,
                     });
-                    return LeafEval::Improved(ii);
+                    return Some(ii);
                 }
                 ExactOutcome::Infeasible => {}
-                ExactOutcome::Budget => return LeafEval::Undecided,
+                ExactOutcome::Budget => return None,
             }
         }
-        LeafEval::NoImprovement
+        None
     }
 }
 
@@ -456,43 +519,52 @@ pub fn optimal_search(
     cfg: &OptimalConfig,
 ) -> OptimalReport {
     let g = DepGraph::build(l);
-    search(l, m, &g, &Prices::new(l, &g, m), incumbent_partition, incumbent_ii, cfg)
+    let prices = Prices::new(l, &g, m);
+    search(l, m, &g, &prices, (incumbent_partition, incumbent_ii), cfg, None)
+        .expect("without a deadline the search always reaches a verdict")
 }
 
 /// [`optimal_search`] over the dependence graph and price list the caller
-/// already built (the compile driver's partition step).
+/// already built (the compile driver's partition step), stopping once
+/// `deadline` passes. `None` when it did: the search reached no verdict.
 pub(crate) fn search(
     l: &Loop,
     m: &MachineConfig,
     g: &DepGraph,
     prices: &Prices,
-    incumbent_partition: &[bool],
-    incumbent_ii: u32,
+    (incumbent_partition, incumbent_ii): (&[bool], u32),
     cfg: &OptimalConfig,
-) -> OptimalReport {
+    deadline: Option<Instant>,
+) -> Option<OptimalReport> {
     let movable = &prices.movable;
     let guide: Vec<bool> = incumbent_partition
         .iter()
         .zip(movable)
         .map(|(&p, &mv)| p && mv)
         .collect();
-    let movable_count = movable.iter().filter(|&&v| v).count() as u32;
-    let mut oracle = Oracle::new(l, m, g, prices, guide, cfg.probe_budget);
+    let mut oracle = Oracle::new(l, m, g, prices, guide, cfg, deadline);
     let root: Vec<Option<bool>> = movable
         .iter()
         .map(|&mv| if mv { None } else { Some(false) })
         .collect();
-    let root_lower_bound = oracle.rec_lb.max(oracle.resource_lb(&root)).max(1);
-    let (outcome, stats) =
-        branch_and_bound(&mut oracle, root, incumbent_ii, NodeBudget::new(cfg.max_nodes));
-    OptimalReport {
+    let root_lower_bound = oracle.lower_bound(&root);
+    let (best, stats) = oracle.run(root, incumbent_ii);
+    let stops = [oracle.nodes.stop(), oracle.probe.stop()];
+    if stops.contains(&Some(Stop::Expired)) {
+        return None;
+    }
+    let outcome = if stops == [None, None] {
+        OptimalOutcome::Proved(best)
+    } else {
+        OptimalOutcome::BudgetExhausted { best_found: best }
+    };
+    Some(OptimalReport {
         outcome,
         stats,
-        probe_spent: oracle.probe.spent,
+        probe_spent: oracle.probe.spent(),
         root_lower_bound,
-        movable: movable_count,
         witness: oracle.witness,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -540,9 +612,8 @@ mod tests {
         let m = MachineConfig::paper_default();
         let (part, ii) = incumbent(&l, &m);
         let r = optimal_search(&l, &m, &part, ii, &OptimalConfig::default());
-        assert!(r.outcome.is_proved());
-        assert!(r.outcome.best() <= ii);
-        assert!(r.outcome.best() >= r.root_lower_bound);
+        let OptimalOutcome::Proved(best) = r.outcome else { panic!("{:?}", r.outcome) };
+        assert!(best <= ii && best >= r.root_lower_bound);
     }
 
     #[test]
@@ -571,8 +642,50 @@ mod tests {
         let (part, ii) = incumbent(&l, &m);
         let cfg = OptimalConfig { max_nodes: 1, probe_budget: 0 };
         let r = optimal_search(&l, &m, &part, ii + 10, &cfg);
-        assert!(!r.outcome.is_proved());
-        assert_eq!(r.outcome.best(), ii + 10);
+        assert_eq!(r.outcome, OptimalOutcome::BudgetExhausted { best_found: ii + 10 });
+    }
+
+    #[test]
+    fn undecided_leaf_poisons_the_proof() {
+        // Ample nodes, but no probe units: the first leaf's exact probe
+        // decides nothing, so the closed tree proves nothing either.
+        let l = figure1_dot();
+        let m = MachineConfig::paper_default();
+        let (part, ii) = incumbent(&l, &m);
+        let cfg = OptimalConfig { max_nodes: 1_000_000, probe_budget: 0 };
+        let r = optimal_search(&l, &m, &part, ii + 10, &cfg);
+        assert_eq!(r.outcome, OptimalOutcome::BudgetExhausted { best_found: ii + 10 });
+        assert!(r.stats.leaves >= 1);
+        assert_eq!((r.probe_spent, r.stats.improved), (0, 0));
+        assert!(r.witness.is_none());
+    }
+
+    #[test]
+    fn root_is_pruned_at_the_incumbent() {
+        // An incumbent already at the root bound closes the proof with
+        // one pruned node and no leaf.
+        let l = figure1_dot();
+        let m = MachineConfig::paper_default();
+        let (part, ii) = incumbent(&l, &m);
+        let lb = optimal_search(&l, &m, &part, ii, &OptimalConfig::default()).root_lower_bound;
+        let r = optimal_search(&l, &m, &part, lb, &OptimalConfig::default());
+        assert_eq!(r.outcome, OptimalOutcome::Proved(lb));
+        assert_eq!(r.stats, SearchStats { nodes: 1, pruned: 1, leaves: 0, improved: 0 });
+    }
+
+    #[test]
+    fn passed_deadline_stops_with_no_verdict() {
+        let l = figure1_dot();
+        let m = MachineConfig::paper_default();
+        let (part, ii) = incumbent(&l, &m);
+        let g = DepGraph::build(&l);
+        let prices = Prices::new(&l, &g, &m);
+        let cfg = OptimalConfig::default();
+        let late = Some(Instant::now());
+        assert!(search(&l, &m, &g, &prices, (&part, ii + 10), &cfg, late).is_none());
+        let far = Some(Instant::now() + std::time::Duration::from_secs(3600));
+        let r = search(&l, &m, &g, &prices, (&part, ii + 10), &cfg, far).expect("in time");
+        assert_eq!(r.outcome, optimal_search(&l, &m, &part, ii + 10, &cfg).outcome);
     }
 
     #[test]
@@ -588,7 +701,7 @@ mod tests {
         let m = MachineConfig::paper_default();
         let (part, ii) = incumbent(&l, &m);
         let r = optimal_search(&l, &m, &part, ii, &OptimalConfig::default());
-        assert!(r.outcome.is_proved());
-        assert!(r.outcome.best() <= ii);
+        let OptimalOutcome::Proved(best) = r.outcome else { panic!("{:?}", r.outcome) };
+        assert!(best <= ii);
     }
 }

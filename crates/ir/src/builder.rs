@@ -139,16 +139,6 @@ impl LoopBuilder {
         self.fbin(OpKind::Div, a, b)
     }
 
-    /// `min(a, b)` on f64.
-    pub fn fmin(&mut self, a: OpId, b: OpId) -> OpId {
-        self.fbin(OpKind::Min, a, b)
-    }
-
-    /// `max(a, b)` on f64.
-    pub fn fmax(&mut self, a: OpId, b: OpId) -> OpId {
-        self.fbin(OpKind::Max, a, b)
-    }
-
     /// `-a` on f64.
     pub fn fneg(&mut self, a: OpId) -> OpId {
         self.unary(OpKind::Neg, ScalarType::F64, a)
@@ -164,11 +154,6 @@ impl LoopBuilder {
         self.unary(OpKind::Sqrt, ScalarType::F64, a)
     }
 
-    /// `a + b` on i64.
-    pub fn iadd(&mut self, a: OpId, b: OpId) -> OpId {
-        self.ibin(OpKind::Add, a, b)
-    }
-
     /// `a * b` on i64.
     pub fn imul(&mut self, a: OpId, b: OpId) -> OpId {
         self.ibin(OpKind::Mul, a, b)
@@ -178,12 +163,6 @@ impl LoopBuilder {
     pub fn fmul_li(&mut self, a: LiveInId, b: OpId) -> OpId {
         let ty = self.looop.live_ins[a.0 as usize].ty;
         self.bin(OpKind::Mul, ty, Operand::LiveIn(a), Operand::def(b))
-    }
-
-    /// Live-in + def binary op on the live-in's type.
-    pub fn fadd_li(&mut self, a: LiveInId, b: OpId) -> OpId {
-        let ty = self.looop.live_ins[a.0 as usize].ty;
-        self.bin(OpKind::Add, ty, Operand::LiveIn(a), Operand::def(b))
     }
 
     /// Binary op with fully general operands.

@@ -19,11 +19,6 @@ pub struct Placement {
 }
 
 impl Placement {
-    /// Build a placement from raw `(dense instance id, cycles)` pairs.
-    pub fn from_entries(entries: Vec<(usize, u32)>) -> Placement {
-        Placement { entries }
-    }
-
     /// The reserved `(dense instance id, cycles)` pairs.
     pub fn entries(&self) -> &[(usize, u32)] {
         &self.entries

@@ -25,6 +25,7 @@
 
 use crate::mii::{compute_recmii, compute_resmii, edge_delay};
 use crate::sched::{compute_heights, Assignments, Schedule};
+use std::time::Instant;
 use sv_analysis::{strongly_connected_components, DepGraph};
 use sv_ir::{Loop, OpId};
 use sv_machine::{MachineConfig, ResourceClass, ResourcePool};
@@ -36,38 +37,63 @@ pub enum ExactOutcome {
     Feasible(Box<Schedule>),
     /// No schedule exists at this II (complete search closed).
     Infeasible,
-    /// The node budget ran out before the search closed; undecided.
+    /// The [`Budget`] refused a residue attempt before the search closed; undecided.
     Budget,
 }
 
-/// Deterministic work counter shared across probes: one unit per residue
-/// attempt. Hitting zero aborts the search with [`ExactOutcome::Budget`].
-#[derive(Debug, Clone)]
-pub struct ProbeBudget {
-    remaining: u64,
-    /// Nodes spent since construction (monotone; survives exhaustion).
-    pub spent: u64,
+/// Why a [`Budget`] stopped granting units.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stop {
+    /// Every unit was spent: a deterministic verdict.
+    Exhausted,
+    /// The wall-clock deadline passed first.
+    Expired,
 }
 
-impl ProbeBudget {
-    /// A budget of `n` residue attempts.
-    pub fn new(n: u64) -> ProbeBudget {
-        ProbeBudget { remaining: n, spent: 0 }
+/// A deterministic work meter (one unit per residue attempt here, per
+/// tree node in the optimal-II oracle) with an optional deadline, read
+/// only when a unit is asked for. Once a unit is refused the budget
+/// stays stopped, and [`Budget::stop`] says why.
+#[derive(Debug, Clone)]
+pub struct Budget {
+    left: u64,
+    spent: u64,
+    deadline: Option<Instant>,
+    stop: Option<Stop>,
+    clock: fn() -> Instant,
+}
+
+impl Budget {
+    /// A budget of `units`, stopping early once `deadline` has passed.
+    pub fn new(units: u64, deadline: Option<Instant>) -> Budget {
+        Budget { left: units, spent: 0, deadline, stop: None, clock: Instant::now }
     }
 
-    /// Consume one unit; `false` once exhausted.
+    /// Spend one unit; `false` once the units are gone or the deadline
+    /// has passed.
     pub fn step(&mut self) -> bool {
-        if self.remaining == 0 {
-            return false;
+        if self.stop.is_none() {
+            if self.left == 0 {
+                self.stop = Some(Stop::Exhausted);
+            } else if self.deadline.is_some_and(|d| (self.clock)() >= d) {
+                self.stop = Some(Stop::Expired);
+            } else {
+                self.left -= 1;
+                self.spent += 1;
+                return true;
+            }
         }
-        self.remaining -= 1;
-        self.spent += 1;
-        true
+        false
     }
 
-    /// Units left.
-    pub fn remaining(&self) -> u64 {
-        self.remaining
+    /// Units spent since construction.
+    pub fn spent(&self) -> u64 {
+        self.spent
+    }
+
+    /// Why a unit was refused, or `None` while none has been.
+    pub fn stop(&self) -> Option<Stop> {
+        self.stop
     }
 }
 
@@ -135,7 +161,7 @@ pub fn exact_schedule(
     g: &DepGraph,
     m: &MachineConfig,
     ii: u32,
-    budget: &mut ProbeBudget,
+    budget: &mut Budget,
 ) -> ExactOutcome {
     let n = l.ops.len();
     // Self-edges are honored purely by the II (they constrain no residue):
@@ -329,7 +355,7 @@ enum Place {
 }
 
 impl Search<'_> {
-    fn place(&mut self, oi: usize, budget: &mut ProbeBudget) -> Place {
+    fn place(&mut self, oi: usize, budget: &mut Budget) -> Place {
         if oi == self.order.len() {
             return Place::Found;
         }
@@ -376,7 +402,7 @@ impl Search<'_> {
         r: u32,
         res_idx: usize,
         oi: usize,
-        budget: &mut ProbeBudget,
+        budget: &mut Budget,
     ) -> Place {
         if res_idx == self.reqs[op].len() {
             self.residue[op] = r;
@@ -724,7 +750,7 @@ mod tests {
 
     fn probe(l: &Loop, m: &MachineConfig, ii: u32) -> ExactOutcome {
         let g = DepGraph::build(l);
-        let mut b = ProbeBudget::new(5_000_000);
+        let mut b = Budget::new(5_000_000, None);
         exact_schedule(l, &g, m, ii, &mut b)
     }
 
@@ -817,11 +843,52 @@ mod tests {
         let l = copy_loop();
         let m = MachineConfig::paper_default();
         let g = DepGraph::build(&l);
-        let mut b = ProbeBudget::new(0);
+        let mut b = Budget::new(0, None);
         assert!(matches!(
             exact_schedule(&l, &g, &m, 1, &mut b),
             ExactOutcome::Budget
         ));
+    }
+
+    #[test]
+    fn budget_tells_exhaustion_from_an_expired_deadline() {
+        let mut b = Budget::new(2, None);
+        assert!(b.step() && b.step());
+        assert!(!b.step());
+        assert_eq!((b.spent(), b.stop()), (2, Some(Stop::Exhausted)));
+        let past = Instant::now() - std::time::Duration::from_millis(1);
+        let mut b = Budget::new(2, Some(past));
+        assert!(!b.step());
+        assert_eq!((b.spent(), b.stop()), (0, Some(Stop::Expired)));
+        // A spent budget stays stopped for exhaustion, deadline or not.
+        let mut b = Budget::new(0, Some(past));
+        assert!(!b.step());
+        assert_eq!(b.stop(), Some(Stop::Exhausted));
+    }
+
+    #[test]
+    fn budget_without_deadline_never_reads_the_clock() {
+        fn no_clock() -> Instant {
+            panic!("the clock was read without a deadline")
+        }
+        let mut b = Budget { clock: no_clock, ..Budget::new(1_000, None) };
+        while b.step() {}
+        assert_eq!((b.spent(), b.stop()), (1_000, Some(Stop::Exhausted)));
+        // The same meter with a deadline reads it on every unit.
+        let far = Instant::now() + std::time::Duration::from_secs(3600);
+        let mut b = Budget { clock: no_clock, ..Budget::new(1, Some(far)) };
+        let read = std::panic::catch_unwind(move || b.step());
+        assert!(read.is_err(), "a deadline must be polled where units are spent");
+    }
+
+    #[test]
+    fn expired_deadline_leaves_the_probe_undecided() {
+        let l = copy_loop();
+        let m = MachineConfig::paper_default();
+        let g = DepGraph::build(&l);
+        let mut b = Budget::new(5_000_000, Some(Instant::now()));
+        assert!(matches!(exact_schedule(&l, &g, &m, 1, &mut b), ExactOutcome::Budget));
+        assert_eq!(b.stop(), Some(Stop::Expired));
     }
 
     #[test]

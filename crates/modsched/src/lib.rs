@@ -50,7 +50,7 @@ mod validate;
 
 pub use binpack::{Bins, Placement};
 pub use emit::{emit_flat, emit_flat_for, FlatListing, Row};
-pub use exact::{exact_schedule, ExactOutcome, ProbeBudget};
+pub use exact::{exact_schedule, Budget, ExactOutcome, Stop};
 pub use mii::{compute_mii, compute_recmii, compute_resmii, edge_delay, recurrence_bound};
 pub use pressure::{max_live, mve_factor};
 pub use regalloc::{allocate_rotating, validate_assignment, AllocError, RegisterAssignment};

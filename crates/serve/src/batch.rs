@@ -694,15 +694,16 @@ fn respond_and_retire(inner: &Inner, item: &Item, line: &str) {
 /// Execute `reqs` (all submitted at `submitted`) on the worker pool,
 /// returning per-request result bodies or errors in request order. Each
 /// entry compiles under `catch_unwind`: one poisoned request yields one
-/// typed `internal` error, never a dead batch or daemon.
+/// typed `internal` error, never a dead batch or daemon. Each compile's
+/// deadline is `submitted` plus its timeout.
 fn execute(
     inner: &Inner,
     reqs: &[&CompileRequest],
     submitted: Instant,
 ) -> Vec<Result<Arc<str>, ServeError>> {
-    // Deadlines are decided once, here, on the drainer thread — not
-    // inside the workers — so the verdict is independent of worker
-    // scheduling.
+    // Deadlines already passed are decided once, here, on the drainer
+    // thread — not inside the workers — so which requests run at all is
+    // independent of worker scheduling.
     let now = Instant::now();
     let expired: Vec<Option<u64>> = reqs
         .iter()
@@ -717,9 +718,11 @@ fn execute(
     inner.compiles.fetch_add(reqs.len() as u64, Ordering::Relaxed);
     run_ordered(reqs, inner.cfg.jobs, |i, req| {
         let t0 = Instant::now();
+        let deadline = req.timeout.map(|t| submitted + t);
+        let compile = || inner.svc.compile_until(req, deadline);
         let verdict = match expired[i] {
             Some(timeout_ms) => Err(ServeError::DeadlineExceeded { timeout_ms }),
-            None => match catch_unwind(AssertUnwindSafe(|| inner.svc.compile_body(req))) {
+            None => match catch_unwind(AssertUnwindSafe(compile)) {
                 Ok(result) => result.map(|(body, _)| body),
                 Err(payload) => {
                     inner.panics_isolated.fetch_add(1, Ordering::Relaxed);

@@ -67,7 +67,8 @@ pub enum ServeError {
     },
     /// The server is draining after a `shutdown` request.
     ShuttingDown,
-    /// The compilation itself failed (typed driver taxonomy).
+    /// The compilation itself failed (typed driver taxonomy). A compile
+    /// the request's deadline stopped has kind `deadline`.
     Compile(Box<CompileError>),
     /// A server-side defect (an isolated panic, a dead drainer) answered
     /// this one request; the daemon itself stays up.
@@ -87,6 +88,9 @@ impl ServeError {
             ServeError::Parse { .. } => "parse",
             ServeError::BadRequest { .. } => "bad_request",
             ServeError::ShuttingDown => "shutting_down",
+            ServeError::Compile(e) if matches!(**e, CompileError::DeadlineExceeded { .. }) => {
+                "deadline"
+            }
             ServeError::Compile(_) => "compile",
             ServeError::Internal { .. } => "internal",
         }
@@ -424,7 +428,8 @@ pub fn error_response(id: u64, e: &ServeError) -> String {
 pub fn error_object(e: &ServeError) -> String {
     match e {
         ServeError::Compile(ce) => format!(
-            "{{\"kind\":\"compile\",\"pass\":\"{}\",\"loop\":\"{}\",\"message\":\"{}\"}}",
+            "{{\"kind\":\"{}\",\"pass\":\"{}\",\"loop\":\"{}\",\"message\":\"{}\"}}",
+            e.kind(),
             ce.pass(),
             json::escape(ce.loop_name()),
             json::escape(&ce.to_string())

@@ -3,6 +3,7 @@
 use crate::faults::{CompileFault, FaultPlan};
 use crate::proto::{CompileRequest, ServeError};
 use std::sync::Arc;
+use std::time::Instant;
 use sv_core::{compile_cached, CacheConfig, CacheOutcome, CompileCache};
 use sv_machine::MachineRegistry;
 
@@ -77,6 +78,15 @@ impl ServeService {
         &self,
         req: &CompileRequest,
     ) -> Result<(Arc<str>, CacheOutcome), ServeError> {
+        self.compile_until(req, None)
+    }
+
+    /// [`ServeService::compile_body`] under the request's deadline.
+    pub(crate) fn compile_until(
+        &self,
+        req: &CompileRequest,
+        deadline: Option<Instant>,
+    ) -> Result<(Arc<str>, CacheOutcome), ServeError> {
         if let Some(plan) = &self.faults {
             match plan.compile_fault() {
                 CompileFault::None => {}
@@ -93,7 +103,7 @@ impl ServeService {
         })?;
         let machine = req.machine_config(&self.registry)?;
         let cfg = req.driver_config();
-        compile_cached(&looop, &machine, &cfg, &self.cache)
+        compile_cached(&looop, &machine, &cfg, &self.cache, deadline)
             .map_err(|e| ServeError::Compile(Box::new(e)))
     }
 

@@ -48,7 +48,7 @@ fn sweep(cache: &CompileCache) -> Vec<(String, Result<String, String>)> {
             }
             for strategy in [Strategy::ModuloOnly, Strategy::Full, Strategy::Selective] {
                 let cfg = DriverConfig::for_strategy(strategy);
-                let body = compile_cached(l, &m, &cfg, cache)
+                let body = compile_cached(l, &m, &cfg, cache, None)
                     .map(|(b, _)| b.to_string())
                     .map_err(|e| e.to_string());
                 out.push((format!("{}/{strategy}", l.name), body));
@@ -86,17 +86,17 @@ fn disk_tier_survives_process_restart() {
 
     // "Process 1": compile and write through to disk, then drop.
     let first = CompileCache::new(cfg.clone()).unwrap();
-    let (cold, outcome) = compile_cached(l, &m, &dcfg, &first).unwrap();
+    let (cold, outcome) = compile_cached(l, &m, &dcfg, &first, None).unwrap();
     assert_eq!(outcome, CacheOutcome::Compiled);
     drop(first);
 
     // "Process 2": a fresh cache over the same directory hits disk with
     // byte-identical content, and promotes it to memory.
     let second = CompileCache::new(cfg).unwrap();
-    let (warm, outcome) = compile_cached(l, &m, &dcfg, &second).unwrap();
+    let (warm, outcome) = compile_cached(l, &m, &dcfg, &second, None).unwrap();
     assert_eq!(outcome, CacheOutcome::Disk, "restart must hit the disk tier");
     assert_eq!(cold, warm, "disk round trip must preserve bytes");
-    let (mem, outcome) = compile_cached(l, &m, &dcfg, &second).unwrap();
+    let (mem, outcome) = compile_cached(l, &m, &dcfg, &second, None).unwrap();
     assert_eq!(outcome, CacheOutcome::Memory, "disk hit must promote to memory");
     assert_eq!(cold, mem);
 
@@ -112,7 +112,7 @@ fn corrupt_disk_entry_quarantines_and_recompiles() {
     let l = &all_benchmarks()[0].loops[0];
 
     let first = CompileCache::new(cfg.clone()).unwrap();
-    let (cold, _) = compile_cached(l, &m, &dcfg, &first).unwrap();
+    let (cold, _) = compile_cached(l, &m, &dcfg, &first, None).unwrap();
     drop(first);
 
     // Flip bytes in the middle of every entry body.
@@ -132,7 +132,7 @@ fn corrupt_disk_entry_quarantines_and_recompiles() {
     // A fresh cache must detect the corruption, quarantine, recompile and
     // still return the right bytes — not an error, not the bad entry.
     let second = CompileCache::new(cfg).unwrap();
-    let (body, outcome) = compile_cached(l, &m, &dcfg, &second).unwrap();
+    let (body, outcome) = compile_cached(l, &m, &dcfg, &second, None).unwrap();
     assert_eq!(outcome, CacheOutcome::Compiled, "corrupt entry must not be served");
     assert_eq!(cold, body);
     let st = second.stats();
@@ -157,7 +157,7 @@ fn compile_some(cache: &CompileCache, n: usize) -> Vec<String> {
         .flat_map(|s| s.loops.iter())
         .filter(|l| !l.name.contains(".synth"))
         .take(n)
-        .map(|l| compile_cached(l, &m, &dcfg, cache).unwrap().0.to_string())
+        .map(|l| compile_cached(l, &m, &dcfg, cache, None).unwrap().0.to_string())
         .collect()
 }
 
@@ -254,14 +254,14 @@ fn injected_read_faults_recompile_and_restore_the_entry() {
         .flat_map(|s| s.loops.iter())
         .find(|l| !l.name.contains(".synth"))
         .unwrap();
-    let (body, outcome) = compile_cached(l, &m, &dcfg, &faulty).unwrap();
+    let (body, outcome) = compile_cached(l, &m, &dcfg, &faulty, None).unwrap();
     assert_eq!(outcome, CacheOutcome::Compiled, "a failed read must recompile");
     assert_eq!(body.to_string(), bodies[0]);
     drop(faulty);
 
     // The restored copy is valid: a faultless reopen serves it from disk.
     let clean = CompileCache::new(cfg).unwrap();
-    let (body, outcome) = compile_cached(l, &m, &dcfg, &clean).unwrap();
+    let (body, outcome) = compile_cached(l, &m, &dcfg, &clean, None).unwrap();
     assert_eq!(outcome, CacheOutcome::Disk, "the write-through must have restored it");
     assert_eq!(body.to_string(), bodies[0]);
 
