@@ -72,14 +72,14 @@ grep '"cache":{' "$SERVE/pass2.jsonl" \
            printf "ci: serve replay pass 2 served %d/%d from cache\n", hits, total }'
 echo "ci: serve replay byte-identical across cache-cold and cache-warm passes"
 
-# Service performance gate (v3): warm-over-cold speedup and warm hit
-# rate floors, the committed-overload phase (the server-hinted retry
-# path must actually fire, give-up rate bounded), the multi-connection
-# warm_mt phase (>=4 concurrent closed-loop clients), and the committed
-# SLO in BENCH_serve.json — the fresh run must sustain the baseline's
-# warm/warm_mt throughput floors and warm_mt p99 ceiling.
+# Service cache gate (v4): every bound compares numbers one run measures
+# against each other, so host load cannot fail it. The warm-over-cold
+# speedup must reach 0.6 of the speedup BENCH_serve.json recorded in its
+# own run, the warm hit rate must be >= 0.99 with every warm body
+# byte-identical to its cold one, and the committed-overload phase must
+# fire the server-hinted retry path with a give-up rate <= 0.5.
 cargo run --release -q -p sv-bench --bin loadgen -- --out target/ci-serve/BENCH_serve.json --check BENCH_serve.json
-echo "ci: loadgen cache + overload-retry + multi-connection SLO gate passed"
+echo "ci: loadgen cache speedup + hit rate + overload-retry gate passed"
 
 # Sharding gate: one loadgen trace replayed over TCP through a single
 # svd and through a router over two svd shards (ephemeral ports, each
@@ -175,12 +175,13 @@ cargo run --release -q -p sv-bench --bin table2 -- --jobs 4 > "$OUT/table2.jobs4
 diff -u "$OUT/table2.serial.txt" "$OUT/table2.jobs4.txt"
 echo "ci: table2 byte-identical at --jobs 1 vs --jobs 4"
 
-# Simulator performance gate: a fresh simbench run must stay within 25%
-# of the committed BENCH_sim.json baseline (per-engine suite medians).
-# It runs last because its absolute ns/iter bounds are host-sensitive: a
-# miss here must not hide the result of any correctness gate above.
+# Simulator performance gate: a fresh simbench run must cover the same
+# cases as BENCH_sim.json, and per case its sched/reference and
+# fast/reference ratios, divided by the baseline's, must have a median
+# within 1 +- 0.25. Ratios of engines timed in one run cancel host load;
+# absolute ns/iter are recorded as diagnostics only.
 mkdir -p target/ci-bench
 cargo run --release -p sv-bench --bin simbench -- --out target/ci-bench/BENCH_sim.json --check BENCH_sim.json
-echo "ci: simbench within tolerance of committed baseline"
+echo "ci: simbench engine ratios within bounds of the committed baseline"
 
 echo "ci: all gates passed"

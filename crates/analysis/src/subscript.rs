@@ -34,17 +34,6 @@ pub enum Distance {
     Star,
 }
 
-impl Distance {
-    /// The smallest distance this value admits.
-    pub fn min_distance(self) -> u32 {
-        match self {
-            Distance::Exact(d) => d,
-            Distance::Far => FAR_BOUND + 1,
-            Distance::Star => 0,
-        }
-    }
-}
-
 /// All iteration distances `d ≥ 0` at which `dst` (executing `d` iterations
 /// after `src`) may touch an element `src` touched.
 ///
@@ -244,11 +233,5 @@ mod tests {
     fn long_distance_reported_exactly() {
         // a[i+100] then a[i]: distance 100 even past max_exact.
         assert_eq!(mem_dependences(&r(1, 100), &r(1, 0), 4), vec![Distance::Exact(100)]);
-    }
-
-    #[test]
-    fn min_distance_of_star_is_zero() {
-        assert_eq!(Distance::Star.min_distance(), 0);
-        assert_eq!(Distance::Exact(3).min_distance(), 3);
     }
 }

@@ -18,11 +18,19 @@
 //! The output is the repo's benchmark trajectory file `BENCH_sim.json`:
 //! one row per (case, engine) with `ns_per_iter` = wall time per executed
 //! loop iteration, plus a summary with per-engine medians and the
-//! fast-over-reference speedup (overall and kernel-suite-only). `--check
-//! BASELINE` re-runs the measurement and fails when an engine's median
-//! `ns_per_iter` regressed by more than `--tolerance` (default 0.25)
-//! against the baseline file — the CI regression gate.
+//! fast-over-reference speedup (overall and kernel-suite-only). The
+//! absolute ns/iter are diagnostics: they move with the host's load.
+//!
+//! `--check BASELINE` re-runs the measurement and gates what one run can
+//! compare with itself. Per case it takes the `sched/reference` and
+//! `fast/reference` ratios, divides each by the baseline's ratio for the
+//! same case, and fails when the median of those quotients leaves
+//! `1 ± RATIO_BOUND` for either ratio, or when the fresh case list differs
+//! from the baseline's. A load change that slows every engine alike moves
+//! no ratio; a 2x slowdown of any one engine moves one by 2x (or, for the
+//! reference engine, both by 0.5x).
 
+use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -37,6 +45,12 @@ use sv_workloads::{all_benchmarks, synth_loop, SynthProfile};
 
 /// Seeds for the synthetic-loop portion of the case list.
 const SYNTH_SEEDS: std::ops::Range<u64> = 0..8;
+
+/// How far the median fresh-over-baseline quotient of an engine ratio may
+/// drift from 1 before `--check` fails. On a loaded 2-core host, runs of
+/// unchanged code drifted by at most 0.10, also against a baseline recorded
+/// on another day; a 2x slowdown of one engine moved a ratio by 0.46–1.0.
+const RATIO_BOUND: f64 = 0.25;
 
 /// One measured row of `BENCH_sim.json`.
 struct Row {
@@ -207,7 +221,7 @@ fn render(rows: &[Row]) -> String {
          \"sched_median_ns_per_iter\":{sched:.3},\"sched_overhead\":{:.2},\
          \"kernel_fast_median_ns_per_iter\":{kfast:.3},\
          \"kernel_reference_median_ns_per_iter\":{kref:.3},\"kernel_speedup\":{:.2}}}}}\n",
-        rows.len(),
+        rows.len() / 3,
         reference / fast,
         sched / fast,
         kref / kfast
@@ -258,52 +272,62 @@ fn parse_rows(text: &str) -> Result<Vec<Row>, String> {
     Ok(rows)
 }
 
-/// Compare a fresh measurement against a baseline file. The gate is the
-/// per-engine *median* `ns_per_iter` (robust to single-case noise);
-/// per-case regressions beyond tolerance are printed as warnings only.
-fn check(fresh: &[Row], baseline: &[Row], tolerance: f64) -> Result<(), String> {
-    for (b, f) in baseline.iter().zip(fresh) {
-        if b.case == f.case && b.engine == f.engine && f.ns_per_iter > b.ns_per_iter * (1.0 + tolerance)
-        {
-            eprintln!(
-                "simbench: warning: {} [{}] {:.1} → {:.1} ns/iter (> {:.0}% regression)",
-                f.case,
-                f.engine,
-                b.ns_per_iter,
-                f.ns_per_iter,
-                tolerance * 100.0
-            );
+/// Per-case engine ratios `[sched/reference, fast/reference]`, keyed by
+/// case name. A case missing one of the three engines is an error.
+fn case_ratios(rows: &[Row]) -> Result<BTreeMap<&str, [f64; 2]>, String> {
+    let mut ns: BTreeMap<&str, [Option<f64>; 3]> = BTreeMap::new();
+    for r in rows {
+        let slot = match r.engine {
+            "sched" => 0,
+            "fast" => 1,
+            _ => 2,
+        };
+        ns.entry(&r.case).or_default()[slot] = Some(r.ns_per_iter);
+    }
+    ns.into_iter()
+        .map(|(case, e)| match e {
+            [Some(sched), Some(fast), Some(reference)] => {
+                Ok((case, [sched / reference, fast / reference]))
+            }
+            _ => Err(format!("case {case} lacks a row for one of the three engines")),
+        })
+        .collect()
+}
+
+/// Compare a fresh measurement against a baseline file: both must cover
+/// the same cases, and for each engine ratio the median over cases of
+/// fresh ratio / baseline ratio must lie within `1 ± RATIO_BOUND`.
+fn check(fresh: &[Row], baseline: &[Row]) -> Result<(), String> {
+    let fresh = case_ratios(fresh)?;
+    let baseline = case_ratios(baseline)?;
+    let missing: Vec<&str> = baseline.keys().filter(|c| !fresh.contains_key(*c)).copied().collect();
+    let added: Vec<&str> = fresh.keys().filter(|c| !baseline.contains_key(*c)).copied().collect();
+    if !missing.is_empty() || !added.is_empty() {
+        return Err(format!(
+            "case list differs from the baseline: missing [{}], not in baseline [{}]",
+            missing.join(", "),
+            added.join(", ")
+        ));
+    }
+    let mut failed = Vec::new();
+    for (k, name) in ["sched/reference", "fast/reference"].into_iter().enumerate() {
+        let drift = median(baseline.iter().map(|(case, b)| fresh[case][k] / b[k]).collect());
+        println!("simbench: median {name} ratio is {drift:.3}x the baseline's");
+        if (drift - 1.0).abs() > RATIO_BOUND {
+            failed.push(format!("{name} ratio moved {drift:.3}x (bound 1 ± {RATIO_BOUND})"));
         }
     }
-    for engine in ["fast", "reference", "sched"] {
-        if !baseline.iter().any(|r| r.engine == engine) {
-            // Baselines written before the executor existed carry no
-            // `sched` rows; a new engine cannot regress against nothing.
-            println!("simbench: no `{engine}` rows in baseline, skipping that gate");
-            continue;
-        }
-        let b = engine_median(baseline, engine, false);
-        let f = engine_median(fresh, engine, false);
-        println!(
-            "simbench: {engine} engine median {b:.1} ns/iter baseline, {f:.1} fresh ({:+.1}%)",
-            (f / b - 1.0) * 100.0
-        );
-        if f > b * (1.0 + tolerance) {
-            return Err(format!(
-                "{engine} engine median regressed {:.1}% (tolerance {:.0}%)",
-                (f / b - 1.0) * 100.0,
-                tolerance * 100.0
-            ));
-        }
+    if failed.is_empty() {
+        Ok(())
+    } else {
+        Err(failed.join("; "))
     }
-    Ok(())
 }
 
 struct Opts {
     out: String,
     check_baseline: Option<String>,
     runs: usize,
-    tolerance: f64,
 }
 
 fn parse_args() -> Result<Opts, String> {
@@ -311,7 +335,6 @@ fn parse_args() -> Result<Opts, String> {
         out: "BENCH_sim.json".into(),
         check_baseline: None,
         runs: 5,
-        tolerance: 0.25,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -327,10 +350,6 @@ fn parse_args() -> Result<Opts, String> {
                     return Err("--runs must be positive".into());
                 }
             }
-            "--tolerance" => {
-                let v = args.next().ok_or("--tolerance needs a fraction like 0.25")?;
-                opts.tolerance = v.parse().map_err(|e| format!("bad --tolerance `{v}`: {e}"))?;
-            }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -342,9 +361,7 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(e) => {
             eprintln!("simbench: {e}");
-            eprintln!(
-                "usage: simbench [--out PATH] [--check BASELINE] [--runs K] [--tolerance F]"
-            );
+            eprintln!("usage: simbench [--out PATH] [--check BASELINE] [--runs K]");
             return ExitCode::from(2);
         }
     };
@@ -374,41 +391,34 @@ fn main() -> ExitCode {
     for case in &cases {
         measure(case, &m, opts.runs, &mut rows);
     }
-    let text = render(&rows);
-
-    if let Some(baseline) = baseline {
-        if let Err(e) = std::fs::write(&opts.out, &text) {
-            eprintln!("simbench: cannot write {}: {e}", opts.out);
-            return ExitCode::FAILURE;
+    if let Err(e) = std::fs::write(&opts.out, render(&rows)) {
+        eprintln!("simbench: cannot write {}: {e}", opts.out);
+        return ExitCode::FAILURE;
+    }
+    let fast = engine_median(&rows, "fast", false);
+    let reference = engine_median(&rows, "reference", false);
+    let kfast = engine_median(&rows, "fast", true);
+    let kref = engine_median(&rows, "reference", true);
+    println!(
+        "simbench: {} cases → {}; fast {fast:.1} vs reference {reference:.1} ns/iter \
+         ({:.2}x overall, {:.2}x kernel suite)",
+        cases.len(),
+        opts.out,
+        reference / fast,
+        kref / kfast
+    );
+    let Some(baseline) = baseline else {
+        return ExitCode::SUCCESS;
+    };
+    match check(&rows, &baseline) {
+        Ok(()) => {
+            println!("simbench: engine ratios within 1 ± {RATIO_BOUND} of the baseline's");
+            ExitCode::SUCCESS
         }
-        match check(&rows, &baseline, opts.tolerance) {
-            Ok(()) => {
-                println!("simbench: no regression beyond {:.0}% tolerance", opts.tolerance * 100.0);
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("simbench: REGRESSION: {e}");
-                ExitCode::FAILURE
-            }
+        Err(e) => {
+            eprintln!("simbench: REGRESSION: {e}");
+            ExitCode::FAILURE
         }
-    } else {
-        if let Err(e) = std::fs::write(&opts.out, &text) {
-            eprintln!("simbench: cannot write {}: {e}", opts.out);
-            return ExitCode::FAILURE;
-        }
-        let fast = engine_median(&rows, "fast", false);
-        let reference = engine_median(&rows, "reference", false);
-        let kfast = engine_median(&rows, "fast", true);
-        let kref = engine_median(&rows, "reference", true);
-        println!(
-            "simbench: {} cases → {}; fast {fast:.1} vs reference {reference:.1} ns/iter \
-             ({:.2}x overall, {:.2}x kernel suite)",
-            cases.len(),
-            opts.out,
-            reference / fast,
-            kref / kfast
-        );
-        ExitCode::SUCCESS
     }
 }
 
@@ -446,21 +456,48 @@ mod tests {
         assert_eq!(parsed[4].engine, "sched");
     }
 
+    /// One row per engine for each case, the engines' ns/iter scaled by
+    /// `scale` (`[fast, reference, sched]`).
+    fn synthetic(cases: &[&str], scale: [f64; 3]) -> Vec<Row> {
+        let mut rows = Vec::new();
+        for (i, case) in cases.iter().enumerate() {
+            let base = 100.0 + 37.0 * i as f64;
+            for (k, (engine, ns)) in
+                [("fast", base), ("reference", 2.3 * base), ("sched", 9.1 * base)].into_iter().enumerate()
+            {
+                rows.push(Row { case: (*case).into(), iters: 64, ns_per_iter: ns * scale[k], engine });
+            }
+        }
+        rows
+    }
+
+    const CASES: [&str; 3] = ["a", "b", "c"];
+
     #[test]
-    fn check_flags_median_regression_and_tolerates_noise() {
-        let base = vec![
-            Row { case: "a".into(), iters: 10, ns_per_iter: 100.0, engine: "fast" },
-            Row { case: "a".into(), iters: 10, ns_per_iter: 400.0, engine: "reference" },
-        ];
-        let ok = vec![
-            Row { case: "a".into(), iters: 10, ns_per_iter: 110.0, engine: "fast" },
-            Row { case: "a".into(), iters: 10, ns_per_iter: 390.0, engine: "reference" },
-        ];
-        assert!(check(&ok, &base, 0.25).is_ok());
-        let bad = vec![
-            Row { case: "a".into(), iters: 10, ns_per_iter: 200.0, engine: "fast" },
-            Row { case: "a".into(), iters: 10, ns_per_iter: 400.0, engine: "reference" },
-        ];
-        assert!(check(&bad, &base, 0.25).is_err());
+    fn check_passes_a_uniform_slowdown() {
+        let base = synthetic(&CASES, [1.0; 3]);
+        assert!(check(&synthetic(&CASES, [1.8; 3]), &base).is_ok());
+    }
+
+    #[test]
+    fn check_fails_a_2x_slowdown_of_any_one_engine() {
+        let base = synthetic(&CASES, [1.0; 3]);
+        for k in 0..3 {
+            let mut scale = [1.0; 3];
+            scale[k] = 2.0;
+            assert!(check(&synthetic(&CASES, scale), &base).is_err(), "engine {k} slowed 2x");
+        }
+    }
+
+    #[test]
+    fn check_fails_and_names_a_changed_case_list() {
+        let base = synthetic(&CASES, [1.0; 3]);
+        let e = check(&synthetic(&["a", "b"], [1.0; 3]), &base).unwrap_err();
+        assert!(e.contains("missing [c]"), "{e}");
+        let e = check(&synthetic(&["a", "b", "c", "d"], [1.0; 3]), &base).unwrap_err();
+        assert!(e.contains("not in baseline [d]"), "{e}");
+        let mut partial = synthetic(&CASES, [1.0; 3]);
+        partial.pop();
+        assert!(check(&partial, &base).unwrap_err().contains("case c lacks"));
     }
 }

@@ -26,7 +26,9 @@
 //! byte-identical results whether served cold, from memory, or from disk
 //! across a process restart.
 
-use crate::driver::{compile_until, json_escape, CompilationReport, CompileError, DriverConfig};
+use crate::driver::{
+    compile_until, json_escape, write_fallbacks, CompilationReport, CompileError, DriverConfig,
+};
 use crate::pipeline::CompiledLoop;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -667,26 +669,17 @@ pub fn render_result(
     let _ = write!(
         out,
         "{{\"key\":\"{key}\",\"loop\":\"{}\",\"machine\":\"{}\",\"requested\":\"{}\",\
-         \"delivered\":\"{}\",\"fallbacks\":[",
+         \"delivered\":\"{}\",\"fallbacks\":",
         json_escape(&c.source.name),
         json_escape(&m.name),
         report.requested,
         report.delivered,
     );
-    for (i, fb) in report.fallbacks.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(
-            out,
-            "{sep}{{\"from\":\"{}\",\"to\":\"{}\",\"pass\":\"{}\"}}",
-            fb.from,
-            fb.to,
-            fb.reason.pass()
-        );
-    }
+    write_fallbacks(&mut out, &report.fallbacks);
     let iis: Vec<String> = s.iis_tried.iter().map(|ii| ii.to_string()).collect();
     let _ = write!(
         out,
-        "],\"boundary_checks\":{},\"ii_per_orig\":{:.4},\"resmii_per_orig\":{:.4},\
+        ",\"boundary_checks\":{},\"ii_per_orig\":{:.4},\"resmii_per_orig\":{:.4},\
          \"cycles\":{},\"kl_passes\":{},\"kl_probes\":{},\"kl_moves\":{},\"bin_packs\":{},\
          \"schedules\":{},\"iis_tried\":[{}],\"max_live\":[{},{},{},{}],\"segments\":[",
         report.boundary_checks,

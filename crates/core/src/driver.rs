@@ -31,6 +31,7 @@ use crate::optimal::{search, OptimalConfig, OptimalOutcome};
 use crate::partition::{kl_partition, PartitionResult, Prices, SelectiveConfig};
 use crate::pipeline::{CompiledLoop, Segment, Strategy};
 use std::fmt;
+use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 use sv_analysis::DepGraph;
@@ -492,31 +493,23 @@ impl CompilationReport {
     /// provenance, and every [`PassStats`] counter.
     pub fn stats_json_line(&self, looop: &str, machine: &str) -> String {
         let s = &self.stats;
-        let fallbacks: Vec<String> = self
-            .fallbacks
-            .iter()
-            .map(|fb| {
-                format!(
-                    "{{\"from\":\"{}\",\"to\":\"{}\",\"pass\":\"{}\"}}",
-                    json_escape(&fb.from.to_string()),
-                    json_escape(&fb.to.to_string()),
-                    json_escape(&fb.reason.pass().to_string())
-                )
-            })
-            .collect();
-        let iis: Vec<String> = s.iis_tried.iter().map(|ii| ii.to_string()).collect();
-        format!(
+        let mut out = format!(
             "{{\"loop\":\"{}\",\"machine\":\"{}\",\"requested\":\"{}\",\"delivered\":\"{}\",\
-             \"fallbacks\":[{}],\"boundary_checks\":{},\"partition_ns\":{},\"transform_ns\":{},\
-             \"schedule_ns\":{},\"total_ns\":{},\"kl_passes\":{},\"kl_probes\":{},\
-             \"kl_moves\":{},\"bin_packs\":{},\"schedules\":{},\"iis_tried\":[{}],\
-             \"max_live\":[{},{},{},{}],\"search_ns\":{},\"search_nodes\":{},\
-             \"search_probe\":{}}}",
+             \"fallbacks\":",
             json_escape(looop),
             json_escape(machine),
             self.requested,
             self.delivered,
-            fallbacks.join(","),
+        );
+        write_fallbacks(&mut out, &self.fallbacks);
+        let iis: Vec<String> = s.iis_tried.iter().map(|ii| ii.to_string()).collect();
+        let _ = write!(
+            out,
+            ",\"boundary_checks\":{},\"partition_ns\":{},\"transform_ns\":{},\
+             \"schedule_ns\":{},\"total_ns\":{},\"kl_passes\":{},\"kl_probes\":{},\
+             \"kl_moves\":{},\"bin_packs\":{},\"schedules\":{},\"iis_tried\":[{}],\
+             \"max_live\":[{},{},{},{}],\"search_ns\":{},\"search_nodes\":{},\
+             \"search_probe\":{}}}",
             self.boundary_checks,
             s.partition_ns,
             s.transform_ns,
@@ -535,8 +528,27 @@ impl CompilationReport {
             s.search_ns,
             s.search_nodes,
             s.search_probe,
-        )
+        );
+        out
     }
+}
+
+/// Append `fallbacks` to `out` as a JSON list of `{"from","to","pass"}`
+/// objects: the one rendering the cached result and the stats line share.
+/// Strategy and pass names are fixed identifiers, so nothing needs escaping.
+pub(crate) fn write_fallbacks(out: &mut String, fallbacks: &[Fallback]) {
+    out.push('[');
+    for (i, fb) in fallbacks.iter().enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        let _ = write!(
+            out,
+            "{sep}{{\"from\":\"{}\",\"to\":\"{}\",\"pass\":\"{}\"}}",
+            fb.from,
+            fb.to,
+            fb.reason.pass()
+        );
+    }
+    out.push(']');
 }
 
 /// The degradation ladder: the strategy itself, then everything it may
@@ -964,6 +976,39 @@ mod tests {
         assert_eq!(s.kl_probes, p.moves_evaluated);
         assert_eq!(s.kl_moves, p.moves_committed);
         assert_eq!(s.bin_packs, p.bin_packs);
+    }
+
+    #[test]
+    fn fallbacks_render_as_one_json_list() {
+        let fb = |from, to, pass| Fallback {
+            from,
+            to,
+            reason: CompileError::BudgetExhausted {
+                strategy: from,
+                pass,
+                looop: "l".into(),
+                detail: String::new(),
+            },
+        };
+        let mut report = CompilationReport {
+            requested: Strategy::Selective,
+            delivered: Strategy::Traditional,
+            fallbacks: vec![
+                fb(Strategy::Selective, Strategy::Full, Pass::Partition),
+                fb(Strategy::Full, Strategy::Traditional, Pass::Schedule),
+            ],
+            boundary_checks: 0,
+            stats: PassStats::default(),
+        };
+        let list = "[{\"from\":\"selective\",\"to\":\"full\",\"pass\":\"partition\"},\
+                    {\"from\":\"full\",\"to\":\"traditional\",\"pass\":\"schedule\"}]";
+        let mut out = String::new();
+        write_fallbacks(&mut out, &report.fallbacks);
+        assert_eq!(out, list);
+        let line = report.stats_json_line("l", "paper");
+        assert!(line.contains(&format!("\"fallbacks\":{list},\"boundary_checks\":0,")), "{line}");
+        report.fallbacks.clear();
+        assert!(report.stats_json_line("l", "paper").contains("\"fallbacks\":[],"));
     }
 
     #[test]

@@ -1021,7 +1021,8 @@ mod tests {
         b.submit(reqs.next().unwrap(), Arc::clone(&sink)).unwrap();
         let e = b.submit(reqs.next().unwrap(), Arc::clone(&sink)).unwrap_err();
         assert!(matches!(e, ServeError::Overloaded { cap: 2, .. }));
-        assert!(e.retry_after().unwrap() > Duration::ZERO, "hint must be non-zero");
+        let hint = crate::client::retry_after_ms(&error_response(0, &e));
+        assert!(hint.unwrap() > 0, "hint must be non-zero");
         assert_eq!(b.stats().rejected, 1);
         b.close();
         b.join().unwrap();

@@ -153,11 +153,6 @@ impl<T: Transport> RetryClient<T> {
         self.stats
     }
 
-    /// The wrapped transport (to submit non-retried traffic directly).
-    pub fn transport_mut(&mut self) -> &mut T {
-        &mut self.transport
-    }
-
     /// Send one request line, retrying transient failures — paced by the
     /// server's `retry_after_ms` hint when the rejection carries one,
     /// by capped exponential backoff with jitter otherwise — never
@@ -356,16 +351,21 @@ mod tests {
     use crate::faults::FaultConfig;
     use crate::proto::CompileRequest;
     use crate::service::ServeService;
+    use std::cell::Cell;
+    use std::rc::Rc;
     use sv_workloads::benchmark;
 
+    /// Replays `responses` in order, counting calls into a counter the
+    /// test keeps a handle to.
+    #[derive(Default)]
     struct Scripted {
         responses: Vec<Result<String, String>>,
-        calls: u32,
+        calls: Rc<Cell<u32>>,
     }
 
     impl Transport for Scripted {
         fn call(&mut self, _line: &str) -> Result<String, String> {
-            self.calls += 1;
+            self.calls.set(self.calls.get() + 1);
             self.responses.remove(0)
         }
     }
@@ -382,6 +382,7 @@ mod tests {
     #[test]
     fn retries_overloaded_then_returns_success() {
         let overloaded = r#"{"id":1,"ok":false,"error":{"kind":"overloaded","message":"q"}}"#;
+        let calls = Rc::new(Cell::new(0));
         let mut c = RetryClient::new(
             Scripted {
                 responses: vec![
@@ -389,7 +390,7 @@ mod tests {
                     Err("reset".into()),
                     Ok(r#"{"id":1,"ok":true,"result":{}}"#.into()),
                 ],
-                calls: 0,
+                calls: Rc::clone(&calls),
             },
             fast_policy(),
         );
@@ -399,14 +400,14 @@ mod tests {
         assert_eq!(s.attempts, 3);
         assert_eq!(s.retries, 2);
         assert_eq!(s.give_ups, 0);
-        assert_eq!(c.transport_mut().calls, 3);
+        assert_eq!(calls.get(), 3);
     }
 
     #[test]
     fn typed_errors_are_final_not_retried() {
         let deadline = r#"{"id":1,"ok":false,"error":{"kind":"deadline","message":"late"}}"#;
         let mut c = RetryClient::new(
-            Scripted { responses: vec![Ok(deadline.into())], calls: 0 },
+            Scripted { responses: vec![Ok(deadline.into())], ..Scripted::default() },
             fast_policy(),
         );
         let out = c.call("{}", None).unwrap();
@@ -420,7 +421,7 @@ mod tests {
         let mut c = RetryClient::new(
             Scripted {
                 responses: (0..4).map(|_| Ok(overloaded.into())).collect(),
-                calls: 0,
+                ..Scripted::default()
             },
             fast_policy(),
         );
@@ -435,7 +436,7 @@ mod tests {
         let mut c = RetryClient::new(
             Scripted {
                 responses: (0..100).map(|_| Ok(overloaded.into())).collect(),
-                calls: 0,
+                ..Scripted::default()
             },
             RetryPolicy {
                 max_retries: 100,
@@ -460,7 +461,7 @@ mod tests {
                     Ok(hinted.into()),
                     Ok(r#"{"id":1,"ok":true,"result":{}}"#.into()),
                 ],
-                calls: 0,
+                ..Scripted::default()
             },
             // A blind exponential retry here would sleep ~1s; the 1 ms
             // hint must be used instead.
@@ -484,7 +485,7 @@ mod tests {
     fn oversized_hint_still_respects_the_deadline() {
         let hinted = r#"{"id":1,"ok":false,"error":{"kind":"overloaded","cap":4,"retry_after_ms":60000,"message":"q"}}"#;
         let mut c = RetryClient::new(
-            Scripted { responses: vec![Ok(hinted.into())], calls: 0 },
+            Scripted { responses: vec![Ok(hinted.into())], ..Scripted::default() },
             fast_policy(),
         );
         let start = Instant::now();
@@ -505,7 +506,7 @@ mod tests {
                     Ok(unavailable.into()),
                     Ok(r#"{"id":1,"ok":true,"result":{}}"#.into()),
                 ],
-                calls: 0,
+                ..Scripted::default()
             },
             fast_policy(),
         );

@@ -101,16 +101,6 @@ impl ServeError {
     pub fn retryable(&self) -> bool {
         matches!(self, ServeError::Overloaded { .. } | ServeError::Unavailable { .. })
     }
-
-    /// The server's backoff hint, when this error carries one.
-    pub fn retry_after(&self) -> Option<Duration> {
-        match self {
-            ServeError::Overloaded { retry_after_ms, .. } => {
-                Some(Duration::from_millis(*retry_after_ms))
-            }
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for ServeError {
@@ -533,10 +523,10 @@ mod tests {
     fn overload_hint_is_typed_and_on_the_wire() {
         let e = ServeError::Overloaded { cap: 4, retry_after_ms: 30 };
         assert!(e.retryable());
-        assert_eq!(e.retry_after(), Some(Duration::from_millis(30)));
+        assert_eq!(crate::client::retry_after_ms(&error_response(1, &e)), Some(30));
         let u = ServeError::Unavailable { message: "2 shards down".into() };
         assert!(u.retryable());
-        assert_eq!(u.retry_after(), None);
+        assert_eq!(crate::client::retry_after_ms(&error_response(1, &u)), None);
         assert_eq!(u.kind(), "unavailable");
     }
 
