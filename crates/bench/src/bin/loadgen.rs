@@ -58,6 +58,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use sv_core::CacheConfig;
 use sv_machine::MachineRegistry;
+use sv_serve::json::{self, Value};
 use sv_serve::proto::ok_response;
 use sv_serve::{
     BatchConfig, Batcher, CompileRequest, FaultConfig, FaultPlan, InProcess, RetryClient,
@@ -416,14 +417,16 @@ fn render(phases: &[Phase], summary: &Summary) -> String {
     s
 }
 
-/// Pull a numeric field out of a `sv-serve-bench/v4` file by key (last
-/// occurrence, so summary keys win over per-row keys of the same name).
-fn summary_field(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = text.rfind(&pat)? + pat.len();
-    let rest = &text[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// A numeric field of the `summary` object of a `sv-serve-bench/v4` file.
+fn summary_field(text: &str, key: &str) -> Result<f64, String> {
+    let doc = json::parse(text)?;
+    if doc.get("schema").and_then(Value::as_str) != Some("sv-serve-bench/v4") {
+        return Err("not a sv-serve-bench/v4 file".into());
+    }
+    match doc.get("summary").and_then(|s| s.get(key)) {
+        Some(&Value::Num(x)) => Ok(x),
+        _ => Err(format!("no numeric summary field {key}")),
+    }
 }
 
 /// Replay a trace file over TCP through the retrying client, printing
@@ -569,19 +572,13 @@ fn main() -> ExitCode {
     let base_speedup = match &opts.check_baseline {
         None => None,
         Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) if text.contains("\"schema\":\"sv-serve-bench/v4\"") => {
-                match summary_field(&text, "warm_over_cold_speedup") {
-                    Some(x) => Some(x),
-                    None => {
-                        eprintln!("loadgen: baseline {path} has no warm_over_cold_speedup");
-                        return ExitCode::FAILURE;
-                    }
+            Ok(text) => match summary_field(&text, "warm_over_cold_speedup") {
+                Ok(x) => Some(x),
+                Err(e) => {
+                    eprintln!("loadgen: bad baseline {path}: {e}");
+                    return ExitCode::FAILURE;
                 }
-            }
-            Ok(_) => {
-                eprintln!("loadgen: baseline {path} is not a sv-serve-bench/v4 file");
-                return ExitCode::FAILURE;
-            }
+            },
             Err(e) => {
                 eprintln!("loadgen: cannot read baseline {path}: {e}");
                 return ExitCode::FAILURE;
@@ -711,10 +708,13 @@ mod tests {
             [phase("cold", 100.0, 0.0, 0, 0), phase("warm", 5000.0, 1.0, 0, 0), phase("overload", 800.0, 1.0, 37, 2)];
         let text = render(&phases, &Summary::new(200, &phases[0], &phases[1], &phases[2]));
         assert!(text.contains("\"schema\":\"sv-serve-bench/v4\""));
-        assert_eq!(summary_field(&text, "warm_over_cold_speedup"), Some(50.0));
-        assert_eq!(summary_field(&text, "warm_hit_rate"), Some(1.0));
-        assert_eq!(summary_field(&text, "overload_retries"), Some(37.0));
-        assert_eq!(summary_field(&text, "overload_give_up_rate"), Some(0.01));
+        assert_eq!(summary_field(&text, "warm_over_cold_speedup"), Ok(50.0));
+        assert_eq!(summary_field(&text, "warm_hit_rate"), Ok(1.0));
+        assert_eq!(summary_field(&text, "overload_retries"), Ok(37.0));
+        assert_eq!(summary_field(&text, "overload_give_up_rate"), Ok(0.01));
+        // Per-row fields are not summary fields.
+        assert!(summary_field(&text, "p50_us").is_err());
+        assert!(summary_field(&text.replace("/v4", "/v3"), "warm_hit_rate").is_err());
         assert!(text.contains("\"phase\":\"cold\""));
         assert!(text.contains("\"retries\":37,\"give_ups\":2"));
     }

@@ -37,6 +37,7 @@ use std::time::Instant;
 use sv_core::{compile_checked, CompiledLoop, DriverConfig, Strategy};
 use sv_ir::Loop;
 use sv_machine::MachineConfig;
+use sv_serve::json::{self, Value};
 use sv_sim::{
     has_register_state_across_cleanup, reference, run_compiled, run_compiled_executed,
     run_source,
@@ -200,14 +201,14 @@ fn engine_median(rows: &[Row], engine: &str, kernel_only: bool) -> f64 {
 }
 
 /// Render `BENCH_sim.json`: one row per line for greppability, then a
-/// summary object. No serde — the schema is fixed and tiny.
+/// summary object.
 fn render(rows: &[Row]) -> String {
     let mut s = String::from("{\"schema\":\"sv-simbench/v1\",\"rows\":[\n");
     for (i, r) in rows.iter().enumerate() {
         let sep = if i + 1 == rows.len() { "" } else { "," };
         s.push_str(&format!(
             "{{\"case\":\"{}\",\"iters\":{},\"ns_per_iter\":{:.3},\"engine\":\"{}\"}}{sep}\n",
-            r.case, r.iters, r.ns_per_iter, r.engine
+            json::escape(&r.case), r.iters, r.ns_per_iter, r.engine
         ));
     }
     let fast = engine_median(rows, "fast", false);
@@ -229,43 +230,31 @@ fn render(rows: &[Row]) -> String {
     s
 }
 
-/// Minimal row extractor for `--check`: pulls `(case, engine,
-/// ns_per_iter)` out of a `sv-simbench/v1` file without a JSON library.
-/// Only accepts files this binary wrote (one row object per line).
+/// Read the rows of a `sv-simbench/v1` file for `--check`.
 fn parse_rows(text: &str) -> Result<Vec<Row>, String> {
-    if !text.contains("\"schema\":\"sv-simbench/v1\"") {
+    let doc = json::parse(text)?;
+    if doc.get("schema").and_then(Value::as_str) != Some("sv-simbench/v1") {
         return Err("not a sv-simbench/v1 file".into());
     }
-    let field = |line: &str, key: &str| -> Option<String> {
-        let pat = format!("\"{key}\":");
-        let at = line.find(&pat)? + pat.len();
-        let rest = &line[at..];
-        let rest = rest.strip_prefix('"').unwrap_or(rest);
-        let end = rest.find(['"', ',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].to_string())
-    };
-    let mut rows = Vec::new();
-    for line in text.lines() {
-        if !line.starts_with("{\"case\":") {
-            continue;
-        }
-        let case = field(line, "case").ok_or("row missing case")?;
-        let engine = match field(line, "engine").ok_or("row missing engine")?.as_str() {
-            "fast" => "fast",
-            "reference" => "reference",
-            "sched" => "sched",
-            other => return Err(format!("unknown engine `{other}`")),
-        };
-        let iters: u64 = field(line, "iters")
-            .ok_or("row missing iters")?
-            .parse()
-            .map_err(|e| format!("bad iters: {e}"))?;
-        let ns_per_iter: f64 = field(line, "ns_per_iter")
-            .ok_or("row missing ns_per_iter")?
-            .parse()
-            .map_err(|e| format!("bad ns_per_iter: {e}"))?;
-        rows.push(Row { case, iters, ns_per_iter, engine });
-    }
+    let rows = doc.get("rows").and_then(Value::as_arr).ok_or("no rows array")?;
+    let rows = rows
+        .iter()
+        .map(|row| {
+            let field = |key: &str| row.get(key).ok_or(format!("row missing {key}"));
+            let case = field("case")?.as_str().ok_or("case is not a string")?.to_string();
+            let engine = match field("engine")?.as_str() {
+                Some("fast") => "fast",
+                Some("reference") => "reference",
+                Some("sched") => "sched",
+                other => return Err(format!("unknown engine {other:?}")),
+            };
+            let iters = field("iters")?.as_u64().ok_or("bad iters")?;
+            let Value::Num(ns_per_iter) = *field("ns_per_iter")? else {
+                return Err("bad ns_per_iter".into());
+            };
+            Ok(Row { case, iters, ns_per_iter, engine })
+        })
+        .collect::<Result<Vec<Row>, String>>()?;
     if rows.is_empty() {
         return Err("no rows found".into());
     }
@@ -445,15 +434,18 @@ mod tests {
             Row { case: "synth.0".into(), iters: 64, ns_per_iter: 31.25, engine: "fast" },
             Row { case: "synth.0".into(), iters: 64, ns_per_iter: 99.5, engine: "reference" },
             Row { case: "synth.0".into(), iters: 32, ns_per_iter: 250.0, engine: "sched" },
+            Row { case: "a \"b\", c".into(), iters: 8, ns_per_iter: 1.5, engine: "sched" },
         ];
         let text = render(&rows);
         let parsed = parse_rows(&text).expect("round-trips");
-        assert_eq!(parsed.len(), 5);
+        assert_eq!(parsed.len(), 6);
         assert_eq!(parsed[0].case, "093.nasa7.mxm");
         assert_eq!(parsed[0].iters, 200);
         assert_eq!(parsed[1].engine, "reference");
         assert!((parsed[3].ns_per_iter - 99.5).abs() < 1e-9);
         assert_eq!(parsed[4].engine, "sched");
+        assert_eq!(parsed[5].case, "a \"b\", c");
+        assert_eq!(parsed[5].iters, 8);
     }
 
     /// One row per engine for each case, the engines' ns/iter scaled by

@@ -110,16 +110,11 @@ fn parse_args() -> Result<Options, ExitCode> {
                 })?;
             }
             "--strategy" => {
-                strategy = Some(match args.next().as_deref() {
-                    Some("modulo-no-unroll") => Strategy::ModuloNoUnroll,
-                    Some("modulo") => Strategy::ModuloOnly,
-                    Some("traditional") => Strategy::Traditional,
-                    Some("full") => Strategy::Full,
-                    Some("selective") => Strategy::Selective,
-                    Some("widened") => Strategy::Widened,
-                    Some("optimal") => Strategy::Optimal,
-                    _ => return Err(usage()),
-                })
+                let name = args.next().ok_or_else(usage)?;
+                strategy = Some(name.parse().map_err(|e| {
+                    eprintln!("svc: {e}");
+                    usage()
+                })?)
             }
             "--vl" => {
                 machine.vector_length = args

@@ -38,8 +38,8 @@ use sv_analysis::DepGraph;
 use sv_ir::{Loop, VerifyError};
 use sv_machine::MachineConfig;
 use sv_modsched::{
-    allocate_rotating, modulo_schedule_with, validate_schedule, Schedule, ScheduleConfig,
-    ScheduleError, ValidationError,
+    allocate_rotating, check_units, modulo_schedule_with, validate_schedule, Schedule,
+    ScheduleConfig, ScheduleError, ValidationError,
 };
 use sv_vectorize::{
     full_vectorization_partition, try_traditional_vectorize, try_transform,
@@ -615,8 +615,15 @@ impl Attempt<'_> {
     /// The Kernighan–Lin selective partition of `l`, timed, with the
     /// partitioner's search effort recorded and its move budget enforced.
     /// Also returns the dependence graph and price list it was built on,
-    /// which the oracle's search reuses.
+    /// which the oracle's search reuses. The partitioner prices `l`'s
+    /// scalar forms before anything is scheduled, so a machine missing a
+    /// class they need is reported here, as the scheduler would.
     fn partition(&mut self, l: &Loop) -> Result<(PartitionResult, DepGraph, Prices), CompileError> {
+        check_units(l, self.m).map_err(|error| CompileError::Schedule {
+            strategy: self.strategy,
+            looop: l.name.clone(),
+            error,
+        })?;
         let t0 = std::time::Instant::now();
         let g = DepGraph::build(l);
         let prices = Prices::new(l, &g, self.m);

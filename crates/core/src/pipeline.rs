@@ -71,6 +71,21 @@ impl Strategy {
     }
 }
 
+impl std::str::FromStr for Strategy {
+    type Err = String;
+
+    /// The strategy whose [`Strategy::canonical_name`] is `name`; the
+    /// error lists the accepted names.
+    fn from_str(name: &str) -> Result<Strategy, String> {
+        Strategy::ALL.into_iter().find(|s| s.canonical_name() == name).ok_or_else(|| {
+            format!(
+                "unknown strategy `{name}` (want one of: {})",
+                Strategy::ALL.map(Strategy::canonical_name).join(", ")
+            )
+        })
+    }
+}
+
 impl fmt::Display for Strategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -219,6 +234,15 @@ pub fn compile_with(
 mod tests {
     use super::*;
     use sv_ir::{LoopBuilder, ScalarType};
+
+    #[test]
+    fn canonical_names_parse_back() {
+        for s in Strategy::ALL {
+            assert_eq!(s.canonical_name().parse::<Strategy>(), Ok(s));
+        }
+        let e = "modulo(no-unroll)".parse::<Strategy>().unwrap_err();
+        assert!(e.contains("want one of: modulo-no-unroll, modulo, traditional"), "{e}");
+    }
 
     fn figure1_dot() -> Loop {
         let mut b = LoopBuilder::new("dot");

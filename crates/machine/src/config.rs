@@ -239,6 +239,23 @@ impl MachineConfig {
         }
     }
 
+    /// Whether some class an opcode may reserve has no unit (a spec may
+    /// declare zero of any). Cheap, so a per-op check can be skipped on a
+    /// machine where this is false.
+    pub fn lacks_a_unit(&self) -> bool {
+        let units = [
+            self.issue_width,
+            self.int_units,
+            self.fp_units,
+            self.mem_units,
+            self.branch_units,
+            self.vector_units,
+            self.merge_units,
+            self.select_units,
+        ];
+        units.contains(&0) || self.vector_issue_limit == Some(0)
+    }
+
     /// The resource pool (instances of every nonzero class).
     pub fn resource_pool(&self) -> ResourcePool {
         ResourcePool::new([

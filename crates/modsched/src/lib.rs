@@ -51,7 +51,9 @@ mod validate;
 pub use binpack::{Bins, Placement};
 pub use emit::{emit_flat, emit_flat_for, FlatListing, Row};
 pub use exact::{exact_schedule, Budget, ExactOutcome, Stop};
-pub use mii::{compute_mii, compute_recmii, compute_resmii, edge_delay, recurrence_bound};
+pub use mii::{
+    check_units, compute_mii, compute_recmii, compute_resmii, edge_delay, recurrence_bound,
+};
 pub use pressure::{max_live, mve_factor};
 pub use regalloc::{allocate_rotating, validate_assignment, AllocError, RegisterAssignment};
 pub use sched::{modulo_schedule, modulo_schedule_with, Schedule, ScheduleConfig, ScheduleError};

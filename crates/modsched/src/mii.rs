@@ -1,9 +1,10 @@
 //! Minimum initiation interval bounds: ResMII and RecMII.
 
 use crate::binpack::Bins;
+use crate::sched::ScheduleError;
 use sv_analysis::{DepEdge, DepGraph, DepKind};
 use sv_ir::Loop;
-use sv_machine::MachineConfig;
+use sv_machine::{MachineConfig, Reservation};
 
 /// The scheduling delay a dependence edge imposes:
 /// `σ(dst) + II·distance ≥ σ(src) + delay`.
@@ -21,6 +22,36 @@ pub fn edge_delay(e: &DepEdge, l: &Loop, m: &MachineConfig) -> i64 {
         DepKind::Anti => 0,
         DepKind::Output => 1,
     }
+}
+
+/// Check that machine `m` has at least one unit of every class loop `l`
+/// and its loop control overhead reserve. [`compute_resmii`] and the
+/// partitioner's bin packer assume so; a machine spec from outside the
+/// program may set any unit count to zero, so the scheduler and the
+/// partitioner check here first.
+///
+/// # Errors
+///
+/// [`ScheduleError::NoUnits`] naming the first missing class and what
+/// needs it.
+pub fn check_units(l: &Loop, m: &MachineConfig) -> Result<(), ScheduleError> {
+    if !m.lacks_a_unit() {
+        return Ok(());
+    }
+    let pool = m.resource_pool();
+    let missing =
+        |reqs: &[Reservation]| reqs.iter().map(|r| r.class).find(|&c| pool.capacity(c) == 0);
+    for reqs in m.loop_overhead() {
+        if let Some(class) = missing(&reqs) {
+            return Err(ScheduleError::NoUnits { class, needed_by: "loop control".into() });
+        }
+    }
+    for op in &l.ops {
+        if let Some(class) = missing(&m.requirements(op.opcode)) {
+            return Err(ScheduleError::NoUnits { class, needed_by: op.opcode.to_string() });
+        }
+    }
+    Ok(())
 }
 
 /// Resource-constrained minimum II of a loop on machine `m`, by the ordered

@@ -1,10 +1,10 @@
 //! Rau's iterative modulo scheduling.
 
-use crate::mii::{compute_recmii, compute_resmii, edge_delay};
+use crate::mii::{check_units, compute_recmii, compute_resmii, edge_delay};
 use crate::pressure::{max_live, mve_factor};
 use sv_analysis::DepGraph;
 use sv_ir::{Loop, RegClass};
-use sv_machine::{MachineConfig, ResourceInstance};
+use sv_machine::{MachineConfig, ResourceClass, ResourceInstance};
 use std::fmt;
 
 /// Budget of scheduling steps per operation before giving up on an II
@@ -122,6 +122,14 @@ pub enum ScheduleError {
         /// The last II attempted.
         tried_up_to: u32,
     },
+    /// The machine has no unit of a class the loop needs, so no II
+    /// admits a schedule (see [`check_units`]).
+    NoUnits {
+        /// The missing class.
+        class: ResourceClass,
+        /// What needs it: an opcode, or the loop control overhead.
+        needed_by: String,
+    },
 }
 
 impl fmt::Display for ScheduleError {
@@ -131,6 +139,9 @@ impl fmt::Display for ScheduleError {
                 f,
                 "no modulo schedule found between II={mii} and II={tried_up_to}"
             ),
+            ScheduleError::NoUnits { class, needed_by } => {
+                write!(f, "the machine has no {class} unit, which {needed_by} needs")
+            }
         }
     }
 }
@@ -162,7 +173,8 @@ pub fn modulo_schedule(
 ///
 /// # Errors
 ///
-/// Returns [`ScheduleError::BudgetExhausted`] when no II within
+/// Returns [`ScheduleError::NoUnits`] when the machine lacks a class the
+/// loop needs, and [`ScheduleError::BudgetExhausted`] when no II within
 /// `mii + cfg.max_ii_slack` admits a schedule under `cfg.budget_ratio`
 /// steps per operation.
 pub fn modulo_schedule_with(
@@ -171,6 +183,7 @@ pub fn modulo_schedule_with(
     m: &MachineConfig,
     cfg: &ScheduleConfig,
 ) -> Result<Schedule, ScheduleError> {
+    check_units(l, m)?;
     // ResMII and RecMII once per call: they seed the II search here and
     // are reported on whichever schedule is returned.
     let (resmii, recmii) = (compute_resmii(l, m), compute_recmii(l, g, m));

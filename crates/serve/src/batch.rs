@@ -15,11 +15,12 @@
 //! * the drainer gathers compile runs **round-robin** across client
 //!   sub-queues (one item per client per cycle), so service order is
 //!   fair while each client's own responses still arrive in its
-//!   submission order; a run flushes when it reaches
-//!   [`BatchConfig::batch_max`], when its oldest member has waited
-//!   [`BatchConfig::flush_ms`], or when nothing else can join it (a
-//!   non-compile verb is pending);
-//! * a flushed run fans out onto [`sv_core::parallel::run_ordered`],
+//!   submission order. The moment it is free it takes whatever is
+//!   queued, up to [`BatchConfig::batch_max`] compiles; a client stops
+//!   contributing at its first non-compile verb, which runs on its own
+//!   next. No timer holds work back for companions: the drainer waits
+//!   only while the queue is empty;
+//! * a gathered run fans out onto [`sv_core::parallel::run_ordered`],
 //!   which preserves the workspace's determinism guarantee: the worker
 //!   count never changes response bytes or order;
 //! * a deadline that is already expired at admission is rejected
@@ -94,20 +95,18 @@ fn lock_recover<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Queue and batching knobs.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Largest compile run flushed at once.
+    /// Largest compile run the drainer takes at once.
     pub batch_max: usize,
-    /// Longest a queued compile waits for companions before flushing.
-    pub flush_ms: u64,
     /// Maximum queued compile weight (one per compile, batch counts its
     /// length); submissions past this are rejected, never buffered.
     pub queue_cap: usize,
-    /// Worker threads per flushed run (1 = inline serial).
+    /// Worker threads per run (1 = inline serial).
     pub jobs: usize,
 }
 
 impl Default for BatchConfig {
     fn default() -> BatchConfig {
-        BatchConfig { batch_max: 32, flush_ms: 2, queue_cap: 1024, jobs: 1 }
+        BatchConfig { batch_max: 32, queue_cap: 1024, jobs: 1 }
     }
 }
 
@@ -176,8 +175,8 @@ struct Queue {
     rr_cursor: u64,
     /// Sum of queued request weights across all clients.
     weight: usize,
-    /// Set by `shutdown` or [`Batcher::close`]; stops admissions and
-    /// flushes immediately.
+    /// Set by `shutdown` or [`Batcher::close`]; stops admissions, and
+    /// the drainer exits once the queue is empty.
     closed: bool,
 }
 
@@ -197,16 +196,31 @@ impl Default for Queue {
     }
 }
 
-impl Queue {
-    /// Items queued across every client.
-    fn total_items(&self) -> usize {
-        self.clients.values().map(|c| c.items.len()).sum()
-    }
+/// Backoff per batch of queued backlog in a `retry_after_ms` hint.
+const RETRY_MS_PER_BATCH: u64 = 2;
 
+impl Queue {
     /// Registered clients, the default one included (the `clients`
     /// gauge).
     fn registered(&self) -> usize {
         self.clients.values().filter(|c| c.registered).count()
+    }
+
+    fn register(&mut self) -> u64 {
+        let id = self.next_client;
+        self.next_client += 1;
+        self.clients.insert(id, ClientQ::new(true));
+        id
+    }
+
+    fn deregister(&mut self, client: u64) {
+        if client == DEFAULT_CLIENT {
+            return; // the shared identity is permanent
+        }
+        if let Some(c) = self.clients.get_mut(&client) {
+            c.registered = false;
+        }
+        self.prune(client);
     }
 
     /// The quota denominator for a submission by `client`: the registered
@@ -218,6 +232,101 @@ impl Queue {
         let default_idle = client != DEFAULT_CLIENT
             && self.clients.get(&DEFAULT_CLIENT).is_some_and(|c| c.items.is_empty());
         self.registered() - usize::from(default_idle)
+    }
+
+    /// Backoff hint for an `overloaded` rejection: roughly how long the
+    /// backlog queued ahead needs to drain — [`RETRY_MS_PER_BATCH`] per
+    /// batch the backlog fills, never zero so a hinted client always
+    /// waits at least a beat.
+    fn retry_hint(&self, batch_max: usize) -> u64 {
+        ((self.weight / batch_max.max(1)) as u64 + 1) * RETRY_MS_PER_BATCH
+    }
+
+    /// Admit `item` to its client's sub-queue, or say why not: the batch
+    /// can never fit, the queue is closed, the global weight cap or the
+    /// client's fair share of it is reached, or the client is unknown.
+    fn admit(&mut self, item: Item, cfg: &BatchConfig) -> Result<(), ServeError> {
+        let w = weight(&item.req);
+        let cap = cfg.queue_cap;
+        if w > cap {
+            return Err(ServeError::BadRequest {
+                message: format!(
+                    "batch of {w} requests exceeds queue_cap {cap} and can never be \
+                     admitted; split it into batches of at most {cap}"
+                ),
+            });
+        }
+        if self.closed {
+            return Err(ServeError::ShuttingDown);
+        }
+        let retry_after_ms = self.retry_hint(cfg.batch_max);
+        if self.weight + w > cap {
+            return Err(ServeError::Overloaded { cap, retry_after_ms });
+        }
+        let client = item.client;
+        let sharers = self.sharers(client).max(1);
+        let Some(c) = self.clients.get_mut(&client) else {
+            return Err(ServeError::Internal {
+                message: format!("client {client} is not registered"),
+            });
+        };
+        if !c.registered {
+            return Err(ServeError::Internal {
+                message: format!("client {client} has deregistered"),
+            });
+        }
+        // An equal share of the capacity, never below one slot so light
+        // clients always get in.
+        let quota = (cap / sharers).max(1);
+        if c.queued + w > quota {
+            return Err(ServeError::Overloaded { cap: quota, retry_after_ms });
+        }
+        c.queued += w;
+        c.items.push_back(item);
+        self.weight += w;
+        Ok(())
+    }
+
+    /// Take the next unit of work, or `None` on an empty queue. Clients
+    /// are visited round-robin from the one after the last served. If
+    /// the first one's head is not a compile, it is taken alone;
+    /// otherwise a run of compiles is gathered one per client per cycle,
+    /// up to `batch_max`, each client stopping at its first non-compile.
+    fn take(&mut self, batch_max: usize) -> Option<Vec<Item>> {
+        let order = self.rr_order();
+        let &first = order.first()?;
+        if !self.clients[&first].items[0].is_compile() {
+            return Some(vec![self.pop(first)]);
+        }
+        // A client that misses once misses for the rest of the gather, so
+        // a whole cycle of misses ends it.
+        let (mut run, mut misses) = (Vec::new(), 0);
+        for &id in order.iter().cycle() {
+            if run.len() >= batch_max.max(1) || misses == order.len() {
+                break;
+            }
+            let head = self.clients.get(&id).and_then(|c| c.items.front());
+            if head.is_some_and(Item::is_compile) {
+                run.push(self.pop(id));
+                misses = 0;
+            } else {
+                misses += 1;
+            }
+        }
+        Some(run)
+    }
+
+    /// Pop `id`'s head item, releasing its weight and making `id` the
+    /// round-robin cursor.
+    fn pop(&mut self, id: u64) -> Item {
+        let c = self.clients.get_mut(&id).expect("client with queued work exists");
+        let item = c.items.pop_front().expect("client has queued work");
+        let w = weight(&item.req);
+        c.queued -= w;
+        self.weight -= w;
+        self.rr_cursor = id;
+        self.prune(id);
+        item
     }
 
     /// Clients with queued work, in round-robin order: ids above the
@@ -247,15 +356,6 @@ impl Queue {
             }
         }
     }
-}
-
-/// Backoff hint for an `overloaded` rejection: roughly how long the
-/// backlog queued ahead needs to drain — one flush interval per batch
-/// the backlog fills, never zero so a hinted client always waits at
-/// least a beat.
-fn retry_hint(queued_weight: usize, cfg: &BatchConfig) -> u64 {
-    let batches = (queued_weight / cfg.batch_max.max(1)) as u64 + 1;
-    batches * cfg.flush_ms.max(1)
 }
 
 /// Counters reported by the `stats` verb's `queue` object.
@@ -408,11 +508,7 @@ impl Batcher {
     /// Register a new client identity and return its id. Each TCP
     /// connection registers on accept and deregisters on disconnect.
     pub fn register_client(&self) -> u64 {
-        let mut q = lock_recover(&self.inner.q);
-        let id = q.next_client;
-        q.next_client += 1;
-        q.clients.insert(id, ClientQ::new(true));
-        id
+        lock_recover(&self.inner.q).register()
     }
 
     /// Retire a client identity: it stops counting toward the quota
@@ -420,22 +516,14 @@ impl Batcher {
     /// already-admitted items drain (they are still answered — the sink
     /// may be a dead socket, which only loses those bytes).
     pub fn deregister_client(&self, client: u64) {
-        if client == DEFAULT_CLIENT {
-            return; // the shared identity is permanent
-        }
-        let mut q = lock_recover(&self.inner.q);
-        if let Some(c) = q.clients.get_mut(&client) {
-            c.registered = false;
-        }
-        q.prune(client);
+        lock_recover(&self.inner.q).deregister(client);
     }
 
     /// The backoff hint an `overloaded` rejection would carry right now
     /// (used by accept loops that refuse connections past
     /// `--max-clients` with the same typed error).
     pub fn retry_after_hint(&self) -> u64 {
-        let q = lock_recover(&self.inner.q);
-        retry_hint(q.weight, &self.inner.cfg)
+        lock_recover(&self.inner.q).retry_hint(self.inner.cfg.batch_max)
     }
 
     /// Enqueue one decoded request on behalf of a registered client; its
@@ -468,52 +556,21 @@ impl Batcher {
                 return Err(ServeError::DeadlineExceeded { timeout_ms: 0 });
             }
         }
-        let w = weight(&request);
-        let cap = self.inner.cfg.queue_cap;
-        if w > cap {
-            return Err(ServeError::BadRequest {
-                message: format!(
-                    "batch of {w} requests exceeds queue_cap {cap} and can never be \
-                     admitted; split it into batches of at most {cap}"
-                ),
-            });
-        }
+        let item = Item { req: Arc::new(request), out, submitted: Instant::now(), client };
+        // Count under the queue lock, so a `stats` the drainer takes next
+        // already sees this submission.
         let mut q = lock_recover(&self.inner.q);
-        if q.closed {
-            return Err(ServeError::ShuttingDown);
-        }
-        let hint = retry_hint(q.weight, &self.inner.cfg);
-        if q.weight + w > cap {
+        let admitted = q.admit(item, &self.inner.cfg);
+        if admitted.is_ok() {
+            self.inner.submitted.fetch_add(1, Ordering::Relaxed);
+            self.inner.cv.notify_all();
+        } else if matches!(admitted, Err(ServeError::Overloaded { .. })) {
             self.inner.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::Overloaded { cap, retry_after_ms: hint });
         }
-        let sharers = q.sharers(client).max(1);
-        let Some(c) = q.clients.get_mut(&client) else {
-            return Err(ServeError::Internal {
-                message: format!("client {client} is not registered"),
-            });
-        };
-        if !c.registered {
-            return Err(ServeError::Internal {
-                message: format!("client {client} has deregistered"),
-            });
-        }
-        // An equal share of the capacity, never below one slot so light
-        // clients always get in.
-        let quota = (cap / sharers).max(1);
-        if c.queued + w > quota {
-            self.inner.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::Overloaded { cap: quota, retry_after_ms: hint });
-        }
-        c.queued += w;
-        c.items.push_back(Item { req: Arc::new(request), out, submitted: Instant::now(), client });
-        q.weight += w;
-        self.inner.submitted.fetch_add(1, Ordering::Relaxed);
-        self.inner.cv.notify_all();
-        Ok(())
+        admitted
     }
 
-    /// Stop admitting work and flush whatever is queued (used on stdin
+    /// Stop admitting work and drain whatever is queued (used on stdin
     /// EOF / listener teardown; the `shutdown` verb does this itself).
     pub fn close(&self) {
         lock_recover(&self.inner.q).closed = true;
@@ -576,102 +633,22 @@ impl Drop for Batcher {
     }
 }
 
-/// What the drainer decided to do with the queue head. The items of
-/// `Run` and `One` are already in the in-flight ledger; the drainer holds
-/// clones sharing their requests.
-enum Action {
-    /// A gathered run of compiles.
-    Run(Vec<Item>),
-    /// One non-compile request.
-    One(Item),
-    Exit,
-}
-
-/// Pop the next unit of work, blocking until a flush condition holds.
-/// Runs are gathered round-robin across client sub-queues (one item per
-/// client per cycle), so no connection can monopolize the drainer while
-/// each client's own responses stay in its submission order. The popped
-/// item(s) move into the in-flight ledger *before* the queue lock is
-/// released, so there is never an instant where taken work is tracked
-/// nowhere.
-fn next_action(inner: &Inner) -> Action {
-    let flush = Duration::from_millis(inner.cfg.flush_ms);
+/// Take the next unit of work with [`Queue::take`], blocking while the
+/// queue is empty and open; `None` once it is closed and empty. The
+/// taken items move into the in-flight ledger *before* the queue lock
+/// is released, so there is never an instant where taken work is tracked
+/// nowhere; the drainer holds clones sharing their requests.
+fn next_action(inner: &Inner) -> Option<Vec<Item>> {
     let mut q = lock_recover(&inner.q);
     loop {
-        let order = q.rr_order();
-        let Some(&first) = order.first() else {
-            if q.closed {
-                return Action::Exit;
-            }
-            q = inner.cv.wait(q).unwrap_or_else(PoisonError::into_inner);
-            continue;
-        };
-        if !q.clients[&first].items[0].is_compile() {
-            let c = q.clients.get_mut(&first).expect("candidate exists");
-            let item = c.items.pop_front().expect("checked non-empty");
-            let w = weight(&item.req);
-            c.queued -= w;
-            q.weight -= w;
-            q.rr_cursor = first;
-            q.prune(first);
-            lock_recover(&inner.in_flight).push_back(item.clone());
-            return Action::One(item);
-        }
-        // The round-robin head is a compile: plan a run by cycling the
-        // candidate clients, taking one queued compile per client per
-        // cycle; a client stops contributing at its first non-compile.
-        let mut taken: BTreeMap<u64, usize> = BTreeMap::new();
-        let mut plan: Vec<u64> = Vec::new();
-        let mut oldest = q.clients[&first].items[0].submitted;
-        'gather: loop {
-            let mut progressed = false;
-            for &id in &order {
-                let k = taken.get(&id).copied().unwrap_or(0);
-                if let Some(item) = q.clients[&id].items.get(k) {
-                    if item.is_compile() {
-                        oldest = oldest.min(item.submitted);
-                        plan.push(id);
-                        *taken.entry(id).or_insert(0) += 1;
-                        progressed = true;
-                        if plan.len() >= inner.cfg.batch_max {
-                            break 'gather;
-                        }
-                    }
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-        let capped = plan.len() >= inner.cfg.batch_max;
-        // Nothing more can ever join: a non-compile verb is pending
-        // somewhere, so waiting out the timer buys nothing.
-        let sealed = plan.len() < q.total_items();
-        let deadline = oldest + flush;
-        let now = Instant::now();
-        if capped || sealed || q.closed || now >= deadline {
-            let mut items: Vec<Item> = Vec::with_capacity(plan.len());
-            for &id in &plan {
-                let c = q.clients.get_mut(&id).expect("planned client exists");
-                let item = c.items.pop_front().expect("planned item exists");
-                c.queued -= weight(&item.req);
-                items.push(item);
-            }
-            q.weight -= items.iter().map(|i| weight(&i.req)).sum::<usize>();
-            if let Some(&last) = plan.last() {
-                q.rr_cursor = last;
-            }
-            for &id in &plan {
-                q.prune(id);
-            }
+        if let Some(items) = q.take(inner.cfg.batch_max) {
             lock_recover(&inner.in_flight).extend(items.iter().cloned());
-            return Action::Run(items);
+            return Some(items);
         }
-        let (guard, _) = inner
-            .cv
-            .wait_timeout(q, deadline - now)
-            .unwrap_or_else(PoisonError::into_inner);
-        q = guard;
+        if q.closed {
+            return None;
+        }
+        q = inner.cv.wait(q).unwrap_or_else(PoisonError::into_inner);
     }
 }
 
@@ -755,9 +732,9 @@ fn drain(inner: &Inner) {
             std::thread::sleep(d);
         }
         match next_action(inner) {
-            Action::Exit => return,
-            Action::Run(items) => answer_run(inner, &items),
-            Action::One(item) => answer_one(inner, &item),
+            None => return,
+            Some(items) if items[0].is_compile() => answer_run(inner, &items),
+            Some(items) => answer_one(inner, &items[0]),
         }
     }
 }
@@ -843,7 +820,7 @@ fn answer_one(inner: &Inner, item: &Item) {
 fn metrics_object(inner: &Inner) -> String {
     let (depth, weight, clients) = {
         let q = lock_recover(&inner.q);
-        (q.total_items(), q.weight, q.registered())
+        (q.clients.values().map(|c| c.items.len()).sum::<usize>(), q.weight, q.registered())
     };
     let ledger = lock_recover(&inner.in_flight).len();
     let qs = inner.stats();
@@ -1006,152 +983,160 @@ mod tests {
         );
     }
 
+    /// Admission and gather policy is pure `Queue` logic: these tests
+    /// drive a queue with no drainer, so nothing is taken behind their
+    /// back.
+    fn cfg(batch_max: usize, queue_cap: usize) -> BatchConfig {
+        BatchConfig { batch_max, queue_cap, jobs: 1 }
+    }
+
+    fn item(client: u64, req: Request) -> Item {
+        Item { req: Arc::new(req), out: buffer().0, submitted: Instant::now(), client }
+    }
+
+    fn ids(items: &[Item]) -> Vec<u64> {
+        items.iter().map(|i| i.req.id()).collect()
+    }
+
+    fn take_run(q: &mut Queue, batch_max: usize) -> Vec<u64> {
+        let items = q.take(batch_max).expect("queued work");
+        assert!(items.iter().all(Item::is_compile), "a run holds only compiles");
+        ids(&items)
+    }
+
     #[test]
     fn bounded_queue_rejects_overload() {
-        let svc = Arc::new(ServeService::in_memory());
-        // Huge batch_max + long flush keep submissions queued, so the
-        // third compile must bounce off the cap deterministically.
-        let b = Batcher::new(
-            svc,
-            BatchConfig { batch_max: 64, flush_ms: 60_000, queue_cap: 2, jobs: 1 },
-        );
-        let (sink, _buf) = buffer();
-        let mut reqs = suite_requests(3).into_iter();
-        b.submit(reqs.next().unwrap(), Arc::clone(&sink)).unwrap();
-        b.submit(reqs.next().unwrap(), Arc::clone(&sink)).unwrap();
-        let e = b.submit(reqs.next().unwrap(), Arc::clone(&sink)).unwrap_err();
-        assert!(matches!(e, ServeError::Overloaded { cap: 2, .. }));
+        let cfg = cfg(64, 2);
+        let mut q = Queue::default();
+        let mut reqs = suite_requests(4).into_iter();
+        q.admit(item(DEFAULT_CLIENT, reqs.next().unwrap()), &cfg).unwrap();
+        q.admit(item(DEFAULT_CLIENT, reqs.next().unwrap()), &cfg).unwrap();
+        let e = q.admit(item(DEFAULT_CLIENT, reqs.next().unwrap()), &cfg).unwrap_err();
+        assert!(matches!(e, ServeError::Overloaded { cap: 2, .. }), "{e:?}");
         let hint = crate::client::retry_after_ms(&error_response(0, &e));
         assert!(hint.unwrap() > 0, "hint must be non-zero");
-        assert_eq!(b.stats().rejected, 1);
-        b.close();
-        b.join().unwrap();
+        assert_eq!(q.weight, 2, "a rejection queues nothing");
+        // The queue drains one slot and admits again.
+        assert_eq!(take_run(&mut q, 1), [0]);
+        q.admit(item(DEFAULT_CLIENT, reqs.next().unwrap()), &cfg).unwrap();
     }
 
     #[test]
     fn retry_hint_grows_with_queue_depth() {
-        let svc = Arc::new(ServeService::in_memory());
-        let b = Batcher::new(
-            svc,
-            BatchConfig { batch_max: 2, flush_ms: 60_000, queue_cap: 64, jobs: 1 },
-        );
-        let (sink, _buf) = buffer();
-        let empty_hint = b.retry_after_hint();
+        // (queued_weight / batch_max + 1) * 2 ms.
+        let mut q = Queue::default();
+        assert_eq!(q.retry_hint(2), 2);
         for r in suite_requests(6) {
-            b.submit(r, Arc::clone(&sink)).unwrap();
+            q.admit(item(DEFAULT_CLIENT, r), &cfg(2, 64)).unwrap();
         }
-        // Six queued compiles at batch_max=2 is (at least) three more
-        // flush intervals of backlog than an empty queue.
-        assert!(
-            b.retry_after_hint() > empty_hint,
-            "{} vs {empty_hint}",
-            b.retry_after_hint()
-        );
-        b.close();
-        b.join().unwrap();
+        assert_eq!(q.retry_hint(2), 8);
+        assert_eq!(q.retry_hint(BatchConfig::default().batch_max), 2);
+        q.weight = 64;
+        assert_eq!(q.retry_hint(BatchConfig::default().batch_max), 6);
+        assert_eq!(q.retry_hint(0), 130, "batch_max 0 counts as 1");
     }
 
     #[test]
     fn greedy_client_is_capped_at_its_share_not_the_whole_queue() {
-        let svc = Arc::new(ServeService::in_memory());
-        // Long flush + big batch keep everything queued during the test.
-        let b = Batcher::new(
-            svc,
-            BatchConfig { batch_max: 64, flush_ms: 60_000, queue_cap: 9, jobs: 1 },
-        );
-        let greedy = b.register_client();
-        let light = b.register_client();
+        let cfg = cfg(64, 9);
+        let mut q = Queue::default();
+        let greedy = q.register();
+        let light = q.register();
         // Two registered clients and an idle default one, which takes no
         // share: each client's quota is 9/2 = 4.
-        let (sink, _buf) = buffer();
         let mut reqs = suite_requests(10).into_iter();
         for _ in 0..4 {
-            b.submit_for(greedy, reqs.next().unwrap(), Arc::clone(&sink)).unwrap();
+            q.admit(item(greedy, reqs.next().unwrap()), &cfg).unwrap();
         }
-        let e = b.submit_for(greedy, reqs.next().unwrap(), Arc::clone(&sink)).unwrap_err();
+        let e = q.admit(item(greedy, reqs.next().unwrap()), &cfg).unwrap_err();
         assert!(
             matches!(e, ServeError::Overloaded { cap: 4, .. }),
             "greedy must bounce off its quota, got {e:?}"
         );
         // The light client still gets its full share.
         for _ in 0..4 {
-            b.submit_for(light, reqs.next().unwrap(), Arc::clone(&sink)).unwrap();
+            q.admit(item(light, reqs.next().unwrap()), &cfg).unwrap();
         }
-        let e = b.submit_for(light, reqs.next().unwrap(), Arc::clone(&sink)).unwrap_err();
+        let e = q.admit(item(light, reqs.next().unwrap()), &cfg).unwrap_err();
         assert!(matches!(e, ServeError::Overloaded { cap: 4, .. }));
-        b.close();
-        b.join().unwrap();
     }
 
     #[test]
     fn drain_round_robins_across_clients() {
-        let svc = Arc::new(ServeService::in_memory());
-        // Nothing flushes until close(): deadline far away, batch_max
-        // bigger than the workload, no non-compile verbs queued.
-        let b = Batcher::new(
-            svc,
-            BatchConfig { batch_max: 64, flush_ms: 60_000, queue_cap: 64, jobs: 1 },
-        );
-        let a = b.register_client();
-        let c = b.register_client();
-        let (sink, buf) = buffer();
-        let mut reqs = suite_requests(8).into_iter();
+        let cfg = cfg(64, 64);
+        let mut q = Queue::default();
+        let a = q.register();
+        let c = q.register();
         // Client a gets ids 0..4 first, then client c gets ids 4..8: a
         // FIFO drain would answer all of a before any of c.
-        let mut ids = (0..8u64).map(|i| {
-            let Request::Compile { req, .. } = reqs.next().unwrap() else { panic!() };
-            Request::Compile { id: i, req }
-        });
-        for _ in 0..4 {
-            b.submit_for(a, ids.next().unwrap(), Arc::clone(&sink)).unwrap();
+        let mut reqs = suite_requests(16).into_iter();
+        for client in [a, a, a, a, c, c, c, c] {
+            q.admit(item(client, reqs.next().unwrap()), &cfg).unwrap();
         }
-        for _ in 0..4 {
-            b.submit_for(c, ids.next().unwrap(), Arc::clone(&sink)).unwrap();
+        // One item per client per cycle, and each take starts at the
+        // client after the one served last.
+        assert_eq!(take_run(&mut q, 3), [0, 4, 1]);
+        assert_eq!(take_run(&mut q, 3), [5, 2, 6]);
+        assert_eq!(take_run(&mut q, 3), [3, 7]);
+        assert!(q.take(3).is_none());
+        assert_eq!(q.weight, 0);
+
+        for client in [a, a, a, a, c, c, c, c] {
+            q.admit(item(client, reqs.next().unwrap()), &cfg).unwrap();
         }
-        b.close();
-        b.join().unwrap();
-        let out = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        let order: Vec<u64> = out
-            .lines()
-            .map(|l| {
-                let rest = l.strip_prefix("{\"id\":").unwrap();
-                rest[..rest.find(',').unwrap()].parse().unwrap()
-            })
-            .collect();
-        assert_eq!(
-            order,
-            vec![0, 4, 1, 5, 2, 6, 3, 7],
-            "responses must interleave one per client per cycle: {out}"
-        );
+        let all = take_run(&mut q, 64);
+        assert_eq!(all.len(), 8, "everything queued goes in one run: {all:?}");
+    }
+
+    #[test]
+    fn a_run_stops_at_each_clients_first_non_compile() {
+        let cfg = cfg(64, 64);
+        let mut q = Queue::default();
+        let a = q.register();
+        let c = q.register();
+        let mut reqs = suite_requests(4).into_iter();
+        q.admit(item(a, reqs.next().unwrap()), &cfg).unwrap();
+        q.admit(item(a, Request::Stats { id: 50 }), &cfg).unwrap();
+        q.admit(item(a, reqs.next().unwrap()), &cfg).unwrap();
+        q.admit(item(c, reqs.next().unwrap()), &cfg).unwrap();
+        q.admit(item(c, reqs.next().unwrap()), &cfg).unwrap();
+        assert_eq!(take_run(&mut q, 64), [0, 2, 3]);
+        assert_eq!(ids(&q.take(64).unwrap()), [50], "stats goes alone");
+        assert_eq!(take_run(&mut q, 64), [1]);
+        assert!(q.take(64).is_none());
     }
 
     #[test]
     fn deregistered_client_frees_its_share() {
-        let svc = Arc::new(ServeService::in_memory());
-        let b = Batcher::new(
-            svc,
-            BatchConfig { batch_max: 64, flush_ms: 60_000, queue_cap: 8, jobs: 1 },
-        );
-        let a = b.register_client();
-        let _c = b.register_client();
+        let cfg = cfg(64, 8);
+        let mut q = Queue::default();
+        let a = q.register();
+        let c = q.register();
         // default + a + c: quota for default is 8/3 = 2.
-        let (sink, _buf) = buffer();
-        let mut reqs = suite_requests(7).into_iter();
-        b.submit(reqs.next().unwrap(), Arc::clone(&sink)).unwrap();
-        b.submit(reqs.next().unwrap(), Arc::clone(&sink)).unwrap();
-        let e = b.submit(reqs.next().unwrap(), Arc::clone(&sink)).unwrap_err();
+        let mut reqs = suite_requests(8).into_iter();
+        q.admit(item(DEFAULT_CLIENT, reqs.next().unwrap()), &cfg).unwrap();
+        q.admit(item(DEFAULT_CLIENT, reqs.next().unwrap()), &cfg).unwrap();
+        let e = q.admit(item(DEFAULT_CLIENT, reqs.next().unwrap()), &cfg).unwrap_err();
         assert!(matches!(e, ServeError::Overloaded { cap: 2, .. }));
         // After a disconnects, its slot is freed: default + c share the
         // queue (quota 8/2 = 4) and submitting as a is refused.
-        b.deregister_client(a);
-        b.submit(reqs.next().unwrap(), Arc::clone(&sink)).unwrap();
-        b.submit(reqs.next().unwrap(), Arc::clone(&sink)).unwrap();
-        let e = b.submit(reqs.next().unwrap(), Arc::clone(&sink)).unwrap_err();
+        q.deregister(a);
+        q.admit(item(DEFAULT_CLIENT, reqs.next().unwrap()), &cfg).unwrap();
+        q.admit(item(DEFAULT_CLIENT, reqs.next().unwrap()), &cfg).unwrap();
+        let e = q.admit(item(DEFAULT_CLIENT, reqs.next().unwrap()), &cfg).unwrap_err();
         assert!(matches!(e, ServeError::Overloaded { cap: 4, .. }), "{e:?}");
-        let e = b.submit_for(a, reqs.next().unwrap(), Arc::clone(&sink)).unwrap_err();
+        let e = q.admit(item(a, reqs.next().unwrap()), &cfg).unwrap_err();
         assert!(matches!(e, ServeError::Internal { .. }), "{e:?}");
-        b.close();
-        b.join().unwrap();
+        // A client deregistered with queued work keeps its sub-queue until
+        // the work drains; the default identity is never dropped.
+        q.admit(item(c, reqs.next().unwrap()), &cfg).unwrap();
+        q.deregister(c);
+        q.deregister(DEFAULT_CLIENT);
+        assert_eq!(q.registered(), 1);
+        assert!(q.clients.contains_key(&c));
+        assert_eq!(take_run(&mut q, 64).len(), 5);
+        assert!(!q.clients.contains_key(&c));
+        assert!(q.clients.contains_key(&DEFAULT_CLIENT));
     }
 
     #[test]

@@ -5,15 +5,17 @@
 //! multi-client accept loop: every connection gets its own fair-share
 //! client identity, bounded by `--max-clients`). Every request flows
 //! through the bounded batching queue onto the deterministic worker
-//! pool, fronted by the two-tier compilation cache. A request line over
+//! pool, fronted by the two-tier compilation cache. The queue's drainer
+//! takes whatever is queued the moment it is free, up to `--batch-max`
+//! compiles at once; it never waits for companions. A request line over
 //! `sv_serve::MAX_LINE_BYTES` (1 MiB) gets a typed `bad_request` and ends
 //! its connection (on stdio, the input).
 //!
 //! ```text
 //! svd [--tcp ADDR] [--max-clients N] [--port-file PATH]
-//!     [--route ADDR,ADDR,...] [--jobs N] [--batch-max N] [--flush-ms N]
-//!     [--queue-cap N] [--mem-entries N] [--mem-bytes N] [--disk DIR]
-//!     [--machines DIR] [--faults SPEC] [--fault-seed N]
+//!     [--route ADDR,ADDR,...] [--jobs N] [--batch-max N] [--queue-cap N]
+//!     [--mem-entries N] [--mem-bytes N] [--disk DIR] [--machines DIR]
+//!     [--faults SPEC] [--fault-seed N]
 //! ```
 //!
 //! `--route A,B,...` turns this process into a **router** over N running
@@ -77,9 +79,9 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: svd [--tcp ADDR] [--max-clients N] [--port-file PATH] \
-         [--route ADDR,ADDR,...] [--jobs N] [--batch-max N] [--flush-ms N] \
-         [--queue-cap N] [--mem-entries N] [--mem-bytes N] [--disk DIR] \
-         [--machines DIR] [--faults SPEC] [--fault-seed N]\n\
+         [--route ADDR,ADDR,...] [--jobs N] [--batch-max N] [--queue-cap N] \
+         [--mem-entries N] [--mem-bytes N] [--disk DIR] [--machines DIR] \
+         [--faults SPEC] [--fault-seed N]\n\
          --route makes a router over the listed shards; --max-clients bounds \
          client connections in both modes"
     );
@@ -123,7 +125,6 @@ fn parse_args() -> Options {
             "--max-clients" => opts.max_clients = num("--max-clients", val("--max-clients")).max(1),
             "--jobs" => opts.batch.jobs = num("--jobs", val("--jobs")).max(1),
             "--batch-max" => opts.batch.batch_max = num("--batch-max", val("--batch-max")).max(1),
-            "--flush-ms" => opts.batch.flush_ms = num("--flush-ms", val("--flush-ms")) as u64,
             "--queue-cap" => opts.batch.queue_cap = num("--queue-cap", val("--queue-cap")).max(1),
             "--mem-entries" => opts.cache.mem_entries = num("--mem-entries", val("--mem-entries")),
             "--mem-bytes" => opts.cache.mem_bytes = num("--mem-bytes", val("--mem-bytes")),

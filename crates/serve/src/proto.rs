@@ -221,7 +221,7 @@ impl CompileRequest {
         format!(
             "{{\"verb\":\"compile\",\"id\":{id},{machine_field},\"strategy\":\"{}\",\
              \"loop\":\"{}\"}}",
-            strategy_name(self.strategy),
+            self.strategy.canonical_name(),
             json::escape(&self.loop_text),
         )
     }
@@ -284,34 +284,6 @@ impl Request {
     }
 }
 
-/// The strategy's wire spelling (round-trips through
-/// [`parse_strategy`]; distinct from `Display`, which uses
-/// presentation forms like `modulo(no-unroll)`). The wire reuses the
-/// canonical spelling the cache key encodes, so the two can never
-/// drift apart.
-pub fn strategy_name(s: Strategy) -> &'static str {
-    s.canonical_name()
-}
-
-/// Parse a strategy's wire spelling.
-///
-/// # Errors
-///
-/// [`ServeError::BadRequest`] listing the accepted names.
-pub fn parse_strategy(name: &str) -> Result<Strategy, ServeError> {
-    for s in Strategy::ALL {
-        if strategy_name(s) == name {
-            return Ok(s);
-        }
-    }
-    Err(ServeError::BadRequest {
-        message: format!(
-            "unknown strategy `{name}` (want one of: {})",
-            Strategy::ALL.map(strategy_name).join(", ")
-        ),
-    })
-}
-
 fn bad(message: impl Into<String>) -> ServeError {
     ServeError::BadRequest { message: message.into() }
 }
@@ -337,7 +309,7 @@ fn compile_body(v: &Value) -> Result<CompileRequest, ServeError> {
     }
     if let Some(s) = v.get("strategy") {
         req.strategy =
-            parse_strategy(s.as_str().ok_or_else(|| bad("`strategy` must be a string"))?)?;
+            s.as_str().ok_or_else(|| bad("`strategy` must be a string"))?.parse().map_err(bad)?;
     }
     let flag = |key: &str, slot: &mut bool| -> Result<(), ServeError> {
         if let Some(b) = v.get(key) {
@@ -547,10 +519,15 @@ mod tests {
 
     #[test]
     fn strategy_names_round_trip() {
-        for s in Strategy::ALL {
-            assert_eq!(parse_strategy(strategy_name(s)).unwrap(), s);
+        for strategy in Strategy::ALL {
+            let line = CompileRequest { strategy, ..CompileRequest::default() }.to_wire(1);
+            let Ok(Request::Compile { req, .. }) = parse_request(&line) else { panic!("{line}") };
+            assert_eq!(req.strategy, strategy);
         }
-        assert!(parse_strategy("bogus").is_err());
+        let line = r#"{"verb":"compile","id":4,"loop":"l","strategy":"bogus"}"#;
+        let (id, e) = parse_request(line).unwrap_err();
+        assert_eq!((id, e.kind()), (4, "bad_request"));
+        assert!(e.to_string().contains("want one of: modulo-no-unroll, modulo,"), "{e}");
     }
 
     #[test]

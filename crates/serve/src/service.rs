@@ -165,6 +165,7 @@ impl ServeService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sv_core::Strategy;
     use sv_machine::MachineConfig;
     use sv_workloads::benchmark;
 
@@ -196,6 +197,43 @@ mod tests {
         let e = svc.compile_body(&req).unwrap_err();
         assert_eq!(e.kind(), "bad_request");
         assert!(e.to_string().contains("figure1, paper"), "{e}");
+    }
+
+    #[test]
+    fn a_machine_missing_a_unit_class_gets_a_typed_answer_never_internal() {
+        let svc = ServeService::in_memory();
+        let suite = benchmark("swim").unwrap();
+        // The answer line a wire request with an inline spec gets.
+        let answer = |spec: &str, strategy: &str| {
+            let line = CompileRequest {
+                machine_spec: Some(spec.into()),
+                ..req_for(suite.loops[0].to_string())
+            }
+            .to_wire(7)
+            .replace("\"strategy\":\"selective\"", &format!("\"strategy\":\"{strategy}\""));
+            let req = crate::proto::parse_request(&line).unwrap();
+            let crate::Request::Compile { req, .. } = req else { panic!("{line}") };
+            match svc.compile_body(&req) {
+                Ok((body, _)) => crate::proto::ok_response(7, &body),
+                Err(e) => crate::proto::error_response(7, &e),
+            }
+        };
+        for (key, class) in [("mem_units", "mem"), ("issue_width", "issue")] {
+            for strategy in Strategy::ALL {
+                let line = answer(&format!("{key} = 0\n"), strategy.canonical_name());
+                assert!(line.contains("\"kind\":\"compile\""), "{line}");
+                assert!(line.contains(&format!("no {class} unit")), "{line}");
+                assert!(!line.contains("internal"), "{line}");
+            }
+        }
+        for key in ["vector_units", "merge_units"] {
+            let line = answer(&format!("{key} = 0\n"), "full");
+            assert!(line.contains("\"ok\":true"), "{line}");
+            assert!(line.contains("\"delivered\":\"modulo\""), "{line}");
+            assert!(line.contains("\"to\":\"modulo\",\"pass\":\"schedule\""), "{line}");
+            assert!(!line.contains("\"pass\":\"boundary\""), "a contained panic: {line}");
+            assert!(!line.contains("internal"), "{line}");
+        }
     }
 
     #[test]

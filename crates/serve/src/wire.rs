@@ -3,11 +3,12 @@
 //! all read, write, accept and connect through it.
 
 use crate::proto::{error_response, ServeError};
+use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Longest request line a reader accepts, its newline not counted. The
 /// largest lines the repository sends are about 1.6 KB (one suite loop);
@@ -18,6 +19,13 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// How often a blocked connection read wakes to check whether the daemon
 /// has closed, so an idle client cannot hold its thread past shutdown.
 pub(crate) const POLL: Duration = Duration::from_millis(200);
+
+/// Longest [`accept_loop`] drains a refused connection's input.
+const REFUSED_LINGER: Duration = Duration::from_secs(1);
+
+/// Most refused connections [`accept_loop`] drains at once; past it the
+/// oldest is closed.
+const MAX_REFUSED: usize = 64;
 
 /// Write one line: the body, then `\n`, then flush.
 ///
@@ -102,11 +110,24 @@ pub(crate) fn serve_conn(
     }
 }
 
+/// Discard up to 64 KiB a non-blocking refused connection sent; `false`
+/// once the client has hung up.
+fn discard_input(stream: &TcpStream) -> bool {
+    const CHUNK: u64 = 1 << 16;
+    match io::copy(&mut stream.take(CHUNK), &mut io::sink()) {
+        Ok(n) => n == CHUNK,
+        Err(e) => e.kind() == ErrorKind::WouldBlock,
+    }
+}
+
 /// Accept connections until `closed()`, serving each with `serve` on a
-/// thread of its own, at most `max_clients` live at once: the next gets
-/// one typed `overloaded` line and is closed. A failed accept or a
-/// panicking connection costs only that connection. Returns once every
-/// connection has finished.
+/// thread of its own, at most `max_clients` live at once. The next gets
+/// one typed `overloaded` line, then, as in [`serve_conn`], its write side
+/// is shut and its input discarded (by this loop, for at most
+/// [`MAX_REFUSED`] at once, until it hangs up or [`REFUSED_LINGER`] passes),
+/// so a request it already sent cannot reset the connection and lose the
+/// line. A failed accept or a panicking connection costs only that
+/// connection. Returns once every connection has finished.
 ///
 /// # Errors
 ///
@@ -122,7 +143,9 @@ pub(crate) fn accept_loop(
     let serve = &serve;
     std::thread::scope(|scope| {
         let mut conns = Vec::new();
+        let mut refused: VecDeque<(TcpStream, Instant)> = VecDeque::new();
         while !closed() {
+            refused.retain(|(s, at)| at.elapsed() < REFUSED_LINGER && discard_input(s));
             let Ok((stream, peer)) = listener.accept() else {
                 std::thread::sleep(Duration::from_millis(5));
                 continue;
@@ -132,6 +155,13 @@ pub(crate) fn accept_loop(
                 let e =
                     ServeError::Overloaded { cap: max_clients, retry_after_ms: retry_after_ms() };
                 let _ = write_line(&mut &stream, &error_response(0, &e));
+                let _ = stream.shutdown(Shutdown::Write);
+                if refused.len() == MAX_REFUSED {
+                    refused.pop_front();
+                }
+                if stream.set_nonblocking(true).is_ok() {
+                    refused.push_back((stream, Instant::now()));
+                }
                 continue;
             }
             let conn = move || {

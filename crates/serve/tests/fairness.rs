@@ -48,7 +48,7 @@ const TRICKLE_SUBMISSIONS: u64 = 12;
 /// flood client's (admitted, rejected) counts.
 fn run_scenario(jobs: usize) -> (Vec<String>, u64, u64) {
     let svc = Arc::new(ServeService::in_memory());
-    let cfg = BatchConfig { jobs, batch_max: 4, flush_ms: 2, queue_cap: 8 };
+    let cfg = BatchConfig { jobs, batch_max: 4, queue_cap: 8 };
     let b = Arc::new(Batcher::new(svc, cfg));
     // Three identities share the capacity: the permanent default client
     // plus these two, so each quota is max(1, 8/3) = 2 slots.
@@ -93,6 +93,8 @@ fn run_scenario(jobs: usize) -> (Vec<String>, u64, u64) {
 
     let (admitted, rejected) = flood.join().expect("flood client");
     let trickle_lines = trickle.join().expect("trickle client");
+    // Only the flood is ever turned away, and the queue counts each time.
+    assert_eq!(b.stats().rejected, rejected, "every overloaded rejection is counted");
     b.close();
     Arc::try_unwrap(b).ok().expect("sole owner").join().expect("drain");
     (trickle_lines, admitted, rejected)

@@ -177,6 +177,27 @@ fn connection_past_max_clients_is_refused() {
 }
 
 #[test]
+fn a_refused_client_that_writes_first_still_reads_the_typed_line() {
+    let (addr, _router, handle) = start_router(vec![dead_addr()], 1);
+    let mut first = connect(addr);
+    let bad = call(&mut first, "{\"id\":1}");
+    assert!(bad.contains("\"kind\":\"bad_request\""), "{bad}");
+    // A request still unread when the router closes would reset the
+    // connection, failing the client's next write or read.
+    for i in 0..200 {
+        let mut conn = connect(addr);
+        writeln!(conn.get_ref(), "{}", compile_line(i)).expect("send");
+        std::thread::sleep(Duration::from_millis(1));
+        let refusal = call(&mut conn, &compile_line(i));
+        assert!(refusal.contains("\"kind\":\"overloaded\""), "try {i}: {refusal}");
+    }
+    let ack = call(&mut first, "{\"verb\":\"shutdown\",\"id\":2}");
+    assert!(ack.contains("\"shutdown\":true"), "{ack}");
+    drop(first);
+    handle.join().expect("router thread").expect("serve");
+}
+
+#[test]
 fn over_long_request_line_is_refused_and_closes_the_connection() {
     let (addr, _router, handle) = start_router(vec![dead_addr()], DEFAULT_MAX_CLIENTS);
     let mut conn = connect(addr);

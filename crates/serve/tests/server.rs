@@ -151,6 +151,28 @@ fn connection_past_max_clients_is_refused_then_slot_reopens() {
     shutdown(addr, batcher, h);
 }
 
+#[test]
+fn a_refused_client_that_writes_first_still_reads_the_typed_line() {
+    let (addr, batcher, h) = start(1);
+    let mut first = connect(addr);
+    let ok = call(&mut first, "{\"verb\":\"stats\",\"id\":1}");
+    assert!(ok.contains("\"ok\":true"), "{ok}");
+    // A request still unread when the server closes would reset the
+    // connection, failing the client's next write or read.
+    for i in 0..200 {
+        let mut conn = connect(addr);
+        writeln!(conn.get_ref(), "{}", compile_line(i)).expect("send");
+        std::thread::sleep(Duration::from_millis(1));
+        let refusal = call(&mut conn, &compile_line(i));
+        assert!(refusal.contains("\"kind\":\"overloaded\""), "try {i}: {refusal}");
+    }
+    let ack = call(&mut first, "{\"verb\":\"shutdown\",\"id\":99}");
+    assert!(ack.contains("\"ok\":true"), "{ack}");
+    drop(first);
+    h.join().expect("server thread").expect("serve");
+    Arc::try_unwrap(batcher).ok().expect("all conns joined").join().expect("drain");
+}
+
 /// A `stats` request padded with spaces to exactly `len` bytes.
 fn padded_stats(id: u64, len: usize) -> String {
     let mut line = format!("{{\"verb\":\"stats\",\"id\":{id}}}");

@@ -225,6 +225,44 @@ fn pipelined_executor_detects_premature_reads() {
 }
 
 #[test]
+fn a_machine_missing_a_unit_class_is_a_typed_error_never_a_panic() {
+    use selvec::modsched::ScheduleError;
+    let no_units = |e: &CompileError| match e {
+        CompileError::Schedule { error: ScheduleError::NoUnits { class, .. }, .. } => {
+            Some(class.to_string())
+        }
+        _ => None,
+    };
+    for (key, class) in [
+        ("mem_units", "mem"),
+        ("issue_width", "issue"),
+        ("int_units", "int"),
+        ("fp_units", "fp"),
+        ("branch_units", "branch"),
+        ("vector_units", "vector"),
+        ("merge_units", "merge"),
+        ("vector_issue_limit", "vissue"),
+    ] {
+        let m = MachineConfig::from_spec(&format!("{key} = 0\n")).unwrap();
+        for strategy in Strategy::ALL {
+            let cfg = DriverConfig { strategy, ..DriverConfig::default() };
+            match compile_checked(&sample(), &m, &cfg) {
+                // A strategy that needs the class falls back, for a typed
+                // reason that names it.
+                Ok((_, report)) => {
+                    for fb in &report.fallbacks {
+                        assert_eq!(no_units(&fb.reason).as_deref(), Some(class), "{key}: {fb:?}");
+                    }
+                }
+                // A class the scalar loop needs leaves nothing to fall
+                // back to.
+                Err(e) => assert_eq!(no_units(&e).as_deref(), Some(class), "{key} {strategy}: {e}"),
+            }
+        }
+    }
+}
+
+#[test]
 fn verifier_rejects_mutated_loops() {
     use selvec::ir::VerifyError;
     let l = sample();
