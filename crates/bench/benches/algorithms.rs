@@ -12,7 +12,7 @@ use sv_analysis::DepGraph;
 use sv_core::{partition_ops, SelectiveConfig};
 use sv_machine::MachineConfig;
 use sv_modsched::modulo_schedule;
-use sv_vectorize::transform;
+use sv_vectorize::try_transform;
 use sv_workloads::{synth_loop, SynthProfile};
 
 fn sized_profile(loads: u32, arith: u32) -> SynthProfile {
@@ -72,7 +72,7 @@ fn main() {
     for (loads, arith) in [(4u32, 6u32), (8, 16), (12, 32)] {
         let l = synth_loop("bench", &sized_profile(loads, arith), 7);
         // Schedule the transformed (unrolled) loop, as the pipeline does.
-        let t = transform(&l, &m, &vec![false; l.ops.len()]);
+        let t = try_transform(&l, &m, &vec![false; l.ops.len()]).unwrap();
         let g = DepGraph::build(&t.looop);
         let n = t.looop.ops.len();
         bench("modulo_scheduler", &format!("{n}_ops"), || {

@@ -10,8 +10,8 @@
 //! — so a repeated request returns the previously rendered result without
 //! re-running KL partitioning or the II search:
 //!
-//! * **memory tier** — a sharded LRU bounded by entry count *and*
-//!   approximate bytes, with hit/miss/eviction counters;
+//! * **memory tier** — one exact LRU behind one lock, bounded by entry
+//!   count *and* approximate bytes, with hit/miss/eviction counters;
 //! * **disk tier** (optional) — one file per key holding the rendered
 //!   result behind a checksummed header, written through on every
 //!   compile and read through on a memory miss. A corrupt or truncated
@@ -135,14 +135,11 @@ pub enum CacheOutcome {
 /// Sizing and placement of a [`CompileCache`].
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
-    /// Maximum resident entries across all shards.
+    /// Maximum resident entries in the memory tier.
     pub mem_entries: usize,
-    /// Approximate maximum resident bytes across all shards (rendered
+    /// Approximate maximum resident bytes in the memory tier (rendered
     /// result bytes plus a small per-entry overhead).
     pub mem_bytes: usize,
-    /// Shard count for the memory tier (reduces lock contention; capacity
-    /// is divided evenly between shards).
-    pub shards: usize,
     /// Directory for the disk tier; `None` disables it.
     pub disk_dir: Option<PathBuf>,
     /// Deterministic disk-fault injector (chaos testing); `None` in
@@ -155,7 +152,6 @@ impl Default for CacheConfig {
         CacheConfig {
             mem_entries: 4096,
             mem_bytes: 64 << 20,
-            shards: 16,
             disk_dir: None,
             faults: None,
         }
@@ -204,100 +200,68 @@ impl CacheStats {
 /// One resident memory-tier entry.
 struct Entry {
     body: Arc<str>,
-    /// Recency tick, also the key into [`Shard::lru`].
+    /// Recency tick, also the key into [`Lru::order`].
     tick: u64,
 }
 
 /// Fixed accounting overhead per resident entry (map + LRU bookkeeping).
 const ENTRY_OVERHEAD: usize = 64;
 
-/// One memory-tier shard: a hash map plus an exact LRU order maintained
-/// as a tick → key index (ticks are unique within a shard).
+/// The memory tier: a hash map plus an exact LRU order maintained as a
+/// tick → key index (ticks are unique).
 #[derive(Default)]
-struct Shard {
+struct Lru {
     map: HashMap<u128, Entry>,
-    lru: BTreeMap<u64, u128>,
+    order: BTreeMap<u64, u128>,
     next_tick: u64,
     bytes: usize,
-    /// Lookups routed to this shard (memory tier; disk promotions count
-    /// as hits for the shard that absorbed them).
-    lookups: u64,
-    /// Lookups this shard answered (memory hit or disk promotion).
-    hits: u64,
+    evictions: u64,
 }
 
-/// Per-shard counters surfaced by [`CompileCache::shard_stats`] — the
-/// serving layer's `metrics` verb reports these so a skewed keyspace
-/// (one hot shard soaking every lookup) is visible in production.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Lookups routed to this shard.
-    pub lookups: u64,
-    /// Lookups this shard answered (memory hit or disk promotion).
-    pub hits: u64,
-    /// Entries currently resident in this shard.
-    pub entries: u64,
-}
-
-impl ShardStats {
-    /// Hit fraction for this shard (0 when it saw no lookups).
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
-    }
-}
-
-impl Shard {
+impl Lru {
     fn touch(&mut self, key: u128) -> Option<Arc<str>> {
         let tick = self.next_tick;
         let e = self.map.get_mut(&key)?;
         let old = std::mem::replace(&mut e.tick, tick);
         let body = Arc::clone(&e.body);
-        self.lru.remove(&old);
-        self.lru.insert(tick, key);
+        self.order.remove(&old);
+        self.order.insert(tick, key);
         self.next_tick += 1;
         Some(body)
     }
 
     /// Insert (or refresh) an entry, then evict LRU entries past the
-    /// shard budgets. Returns the number of evictions performed.
-    fn insert(&mut self, key: u128, body: Arc<str>, max_entries: usize, max_bytes: usize) -> u64 {
+    /// budgets.
+    fn insert(&mut self, key: u128, body: Arc<str>, max_entries: usize, max_bytes: usize) {
         if let Some(old) = self.map.remove(&key) {
-            self.lru.remove(&old.tick);
+            self.order.remove(&old.tick);
             self.bytes -= old.body.len() + ENTRY_OVERHEAD;
         }
         let tick = self.next_tick;
         self.next_tick += 1;
         self.bytes += body.len() + ENTRY_OVERHEAD;
         self.map.insert(key, Entry { body, tick });
-        self.lru.insert(tick, key);
-        let mut evicted = 0;
+        self.order.insert(tick, key);
         // Always keep the entry just inserted, even if it alone exceeds
         // the byte budget — the cache must be able to serve it.
         while self.map.len() > 1
             && (self.map.len() > max_entries.max(1) || self.bytes > max_bytes)
         {
-            let (&tick, &victim) = self.lru.iter().next().expect("lru tracks every entry");
-            self.lru.remove(&tick);
+            let (_, victim) = self.order.pop_first().expect("order tracks every entry");
             let e = self.map.remove(&victim).expect("map tracks every entry");
             self.bytes -= e.body.len() + ENTRY_OVERHEAD;
-            evicted += 1;
+            self.evictions += 1;
         }
-        evicted
     }
 }
 
 /// The two-tier content-addressed cache (see module docs).
 pub struct CompileCache {
     cfg: CacheConfig,
-    shards: Vec<Mutex<Shard>>,
+    mem: Mutex<Lru>,
     mem_hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
     disk_errors: AtomicU64,
     recovery: Mutex<RecoveryReport>,
 }
@@ -322,14 +286,12 @@ impl CompileCache {
         if let Some(dir) = &cfg.disk_dir {
             std::fs::create_dir_all(dir)?;
         }
-        let shards = cfg.shards.max(1);
         let cache = CompileCache {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             cfg,
+            mem: Mutex::new(Lru::default()),
             mem_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             disk_errors: AtomicU64::new(0),
             recovery: Mutex::new(RecoveryReport::default()),
         };
@@ -415,45 +377,27 @@ impl CompileCache {
         CompileCache::new(CacheConfig::default()).expect("no disk tier, cannot fail")
     }
 
-    fn shard(&self, key: CanonicalHash) -> &Mutex<Shard> {
-        &self.shards[(key.0 % self.shards.len() as u128) as usize]
+    fn mem(&self) -> std::sync::MutexGuard<'_, Lru> {
+        self.mem.lock().expect("memory tier poisoned")
     }
 
-    fn per_shard_entries(&self) -> usize {
-        (self.cfg.mem_entries / self.shards.len()).max(1)
-    }
-
-    fn per_shard_bytes(&self) -> usize {
-        (self.cfg.mem_bytes / self.shards.len()).max(1)
+    /// Insert into the memory tier under the configured budgets.
+    fn mem_insert(&self, key: CanonicalHash, body: Arc<str>) {
+        self.mem().insert(key.0, body, self.cfg.mem_entries, self.cfg.mem_bytes);
     }
 
     /// Look `key` up in memory, then disk. A disk hit is promoted into
     /// the memory tier. Does **not** count a miss — only
     /// [`CompileCache::lookup`]'s callers know whether a compile follows.
     fn lookup_inner(&self, key: CanonicalHash) -> Option<(Arc<str>, CacheOutcome)> {
-        {
-            let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-            shard.lookups += 1;
-            if let Some(body) = shard.touch(key.0) {
-                shard.hits += 1;
-                drop(shard);
-                self.mem_hits.fetch_add(1, Ordering::Relaxed);
-                return Some((body, CacheOutcome::Memory));
-            }
+        let hit = self.mem().touch(key.0);
+        if let Some(body) = hit {
+            self.mem_hits.fetch_add(1, Ordering::Relaxed);
+            return Some((body, CacheOutcome::Memory));
         }
         let body = self.disk_read(key)?;
         self.disk_hits.fetch_add(1, Ordering::Relaxed);
-        let evicted = {
-            let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-            shard.hits += 1; // disk promotion: this shard absorbed the lookup
-            shard.insert(
-                key.0,
-                Arc::clone(&body),
-                self.per_shard_entries(),
-                self.per_shard_bytes(),
-            )
-        };
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        self.mem_insert(key, Arc::clone(&body));
         Some((body, CacheOutcome::Disk))
     }
 
@@ -470,13 +414,7 @@ impl CompileCache {
     /// when configured (write-through). Disk write failures are logged
     /// and counted, never surfaced — the cache is an accelerator.
     pub fn insert(&self, key: CanonicalHash, body: Arc<str>) {
-        let evicted = self.shard(key).lock().expect("cache shard poisoned").insert(
-            key.0,
-            Arc::clone(&body),
-            self.per_shard_entries(),
-            self.per_shard_bytes(),
-        );
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        self.mem_insert(key, Arc::clone(&body));
         if let Err(e) = self.disk_write(key, &body) {
             self.disk_errors.fetch_add(1, Ordering::Relaxed);
             eprintln!("sv-core: cache: disk write for {key} failed: {e} (entry stays in memory)");
@@ -485,36 +423,21 @@ impl CompileCache {
 
     /// Current counters and occupancy.
     pub fn stats(&self) -> CacheStats {
-        let mut entries = 0u64;
-        let mut bytes = 0u64;
-        for s in &self.shards {
-            let s = s.lock().expect("cache shard poisoned");
-            entries += s.map.len() as u64;
-            bytes += s.bytes as u64;
-        }
+        let (evictions, entries, bytes) = {
+            let mem = self.mem();
+            (mem.evictions, mem.map.len() as u64, mem.bytes as u64)
+        };
         let rec = self.recovery();
         CacheStats {
             mem_hits: self.mem_hits.load(Ordering::Relaxed),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            evictions,
             disk_errors: self.disk_errors.load(Ordering::Relaxed),
             recovered: rec.quarantined + rec.orphans,
             entries,
             bytes,
         }
-    }
-
-    /// Per-shard lookup/hit/occupancy counters, in shard-index order
-    /// (the `metrics` verb renders these as per-shard hit rates).
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .map(|s| {
-                let s = s.lock().expect("cache shard poisoned");
-                ShardStats { lookups: s.lookups, hits: s.hits, entries: s.map.len() as u64 }
-            })
-            .collect()
     }
 
     /// The disk path of a key's entry.
@@ -886,7 +809,6 @@ mod tests {
         let cache = CompileCache::new(CacheConfig {
             mem_entries: 2,
             mem_bytes: usize::MAX >> 1,
-            shards: 1,
             disk_dir: None,
             faults: None,
         })
@@ -908,7 +830,6 @@ mod tests {
         let cache = CompileCache::new(CacheConfig {
             mem_entries: 2,
             mem_bytes: usize::MAX >> 1,
-            shards: 1,
             disk_dir: None,
             faults: None,
         })
@@ -923,11 +844,38 @@ mod tests {
     }
 
     #[test]
+    fn evictions_follow_global_recency_across_any_key_spread() {
+        // Four of the six keys share their residue mod 16, so a tier
+        // striped by `key % 16` would have crowded them into one stripe.
+        // One LRU evicts by recency alone, whatever the keys.
+        let cache = CompileCache::new(CacheConfig {
+            mem_entries: 4,
+            mem_bytes: usize::MAX >> 1,
+            disk_dir: None,
+            faults: None,
+        })
+        .unwrap();
+        for k in [16, 32, 1] {
+            cache.insert(CanonicalHash(k), Arc::from(format!("body{k}").as_str()));
+        }
+        assert!(cache.lookup(CanonicalHash(16)).is_some()); // 16 now MRU
+        for k in [48, 64, 2] {
+            cache.insert(CanonicalHash(k), Arc::from(format!("body{k}").as_str()));
+        }
+        let st = cache.stats();
+        assert_eq!((st.entries, st.evictions), (4, 2));
+        // 32 and then 1 were least recently used.
+        for (k, resident) in [(32, false), (1, false), (16, true), (48, true), (64, true), (2, true)]
+        {
+            assert_eq!(cache.lookup(CanonicalHash(k)).is_some(), resident, "key {k}");
+        }
+    }
+
+    #[test]
     fn byte_budget_evicts_but_keeps_newest() {
         let cache = CompileCache::new(CacheConfig {
             mem_entries: usize::MAX >> 1,
             mem_bytes: 2 * (ENTRY_OVERHEAD + 8),
-            shards: 1,
             disk_dir: None,
             faults: None,
         })

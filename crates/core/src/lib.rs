@@ -37,7 +37,7 @@ mod pipeline;
 
 pub use cache::{
     compile_cached, request_key, CacheConfig, CacheOutcome, CacheStats, CompileCache,
-    DiskFaults, RecoveryReport, ShardStats, WriteFault,
+    DiskFaults, RecoveryReport, WriteFault,
 };
 pub use driver::{
     compile_checked, json_escape, panic_message, CompilationReport, CompileError, DriverConfig,

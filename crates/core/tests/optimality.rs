@@ -13,7 +13,7 @@ use sv_workloads::{synth_loop, SynthProfile};
 /// public pipeline (transform → scheduler ResMII) so the oracle and the
 /// partitioner share one cost definition.
 fn cost_of(l: &Loop, m: &MachineConfig, part: &[bool]) -> u32 {
-    let t = sv_vectorize::transform(l, m, part);
+    let t = sv_vectorize::try_transform(l, m, part).expect("legal partition");
     sv_modsched::compute_resmii(&t.looop, m)
 }
 

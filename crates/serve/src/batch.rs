@@ -815,8 +815,8 @@ fn answer_one(inner: &Inner, item: &Item) {
 }
 
 /// Render the `metrics` verb's result object: live queue/ledger gauges,
-/// the queue counters, global and per-shard cache stats, fault counters
-/// and per-phase latency percentiles — one canonical line.
+/// the queue counters, cache stats, fault counters and per-phase latency
+/// percentiles — one canonical line.
 fn metrics_object(inner: &Inner) -> String {
     let (depth, weight, clients) = {
         let q = lock_recover(&inner.q);
@@ -833,10 +833,9 @@ fn metrics_object(inner: &Inner) -> String {
     format!(
         "{{\"queue\":{{\"depth\":{depth},\"weight\":{weight},\"in_flight\":{ledger},\
          \"clients\":{clients},\"batch_occupancy\":{occupancy:.4},{}}},\"cache\":{},\
-         \"shards\":{},\"faults\":{faults},\"latency\":{}}}",
+         \"faults\":{faults},\"latency\":{}}}",
         qs.counters_json(),
         inner.svc.stats_object(),
-        crate::metrics::shards_json(&inner.svc.shard_stats()),
         inner.lat.to_json(),
     )
 }
@@ -1140,7 +1139,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_verb_reports_gauges_shards_and_latency() {
+    fn metrics_verb_reports_gauges_cache_and_latency() {
         let svc = Arc::new(ServeService::in_memory());
         let b = Batcher::new(svc, BatchConfig::default());
         let (sink, buf) = buffer();
@@ -1157,7 +1156,7 @@ mod tests {
             "\"in_flight\":",
             "\"clients\":1",
             "\"batch_occupancy\":",
-            "\"shards\":[{\"lookups\":",
+            "\"cache\":{\"mem_hits\":",
             "\"faults\":{\"armed\":false",
             "\"latency\":{\"queue_wait\":{\"count\":",
             "\"p99_us\":",

@@ -3,10 +3,10 @@
 //! A multi-tenant daemon needs one cheap, machine-readable answer to
 //! "how is the server doing": the `metrics` verb returns a single-line
 //! JSON object with live queue depth and in-flight ledger size, batch
-//! occupancy, per-client registration counts, the cache's global and
-//! per-shard hit rates, the chaos fault counters (all zero when no plan
-//! is armed) and per-phase latency percentiles (p50/p95/p99) for the
-//! three phases a request passes through:
+//! occupancy, per-client registration counts, the cache's counters and
+//! hit rate, the chaos fault counters (all zero when no plan is armed)
+//! and per-phase latency percentiles (p50/p95/p99) for the three phases
+//! a request passes through:
 //!
 //! * **queue_wait** — submission → the drainer takes it for execution;
 //! * **execute** — the compile itself (cache hits included);
@@ -104,23 +104,6 @@ impl PhaseLatencies {
             self.total.to_json()
         )
     }
-}
-
-/// Render the per-shard cache section: one `{"lookups":..,"hits":..,
-/// "hit_rate":..}` object per shard, in shard-index order.
-pub fn shards_json(shards: &[sv_core::ShardStats]) -> String {
-    let entries: Vec<String> = shards
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"lookups\":{},\"hits\":{},\"hit_rate\":{:.4}}}",
-                s.lookups,
-                s.hits,
-                s.hit_rate()
-            )
-        })
-        .collect();
-    format!("[{}]", entries.join(","))
 }
 
 /// Render the fault-counter section (`armed` is whether a chaos plan is

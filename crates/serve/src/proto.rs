@@ -10,7 +10,7 @@
 //! | `batch` | `requests`: array of compile bodies | array of per-request results |
 //! | `machines` | — | the machine registry: names, canonical hashes, sources |
 //! | `stats` | — | cache/queue counters |
-//! | `metrics` | — | queue depth, batch occupancy, ledger size, per-shard cache hit rates, fault counters, per-phase latency percentiles |
+//! | `metrics` | — | queue depth, batch occupancy, ledger size, cache counters and hit rate, fault counters, per-phase latency percentiles |
 //! | `shutdown` | — | ack; server drains and exits |
 //!
 //! A compile body names a registered machine (`machine`) or carries an
@@ -257,7 +257,7 @@ pub enum Request {
         id: u64,
     },
     /// Report live serving metrics: queue depth, batch occupancy, ledger
-    /// size, per-shard cache hit rates, fault counters, per-phase
+    /// size, cache counters and hit rate, fault counters, per-phase
     /// latency percentiles.
     Metrics {
         /// Client correlation id.

@@ -11,8 +11,9 @@
 //!   gets one typed `overloaded` line (with the live `retry_after_ms`
 //!   hint) and is closed, never queued invisibly;
 //! * client misbehavior — a disconnect, EOF mid-line, a failed accept
-//!   handshake, a request line over [`crate::MAX_LINE_BYTES`] — costs
-//!   only that connection; the daemon keeps serving;
+//!   handshake, a request line over [`crate::MAX_LINE_BYTES`], a client
+//!   that stops reading its responses — costs only that connection; the
+//!   daemon keeps serving;
 //! * the loop winds down when the batcher closes (a `shutdown` verb from
 //!   any client, or [`crate::Batcher::close`]): connection threads notice
 //!   through a finite read timeout and exit even when their client keeps
@@ -21,8 +22,8 @@
 use crate::batch::{Batcher, Sink, DEFAULT_CLIENT};
 use crate::proto::{error_response, parse_request};
 use crate::wire;
-use std::io::Read;
-use std::net::TcpListener;
+use std::io::{self, ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -33,6 +34,26 @@ pub const DEFAULT_MAX_CLIENTS: usize = 64;
 /// Write one line on a shared sink (a dead sink loses only that line).
 fn respond(sink: &Sink, line: &str) {
     let _ = wire::write_line(&mut *sink.lock().unwrap_or_else(PoisonError::into_inner), line);
+}
+
+/// A connection's response writer. Its first failed write (say, none of
+/// it sent within [`wire::serve_conn`]'s write timeout) shuts the socket
+/// down, so later responses fail at once instead of each holding the
+/// drainer for another timeout, and the reader sees end of input.
+struct ConnSink(TcpStream);
+
+impl Write for ConnSink {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.write(buf).inspect_err(|e| {
+            if e.kind() != ErrorKind::Interrupted {
+                let _ = self.0.shutdown(Shutdown::Both);
+            }
+        })
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.0.flush()
+    }
 }
 
 /// Parse one request line and submit it on behalf of `client`; admission
@@ -105,7 +126,7 @@ impl Server {
                 // The drainer writes responses through the sink's clone;
                 // a failed clone drops this client only.
                 let Ok(writer) = stream.try_clone() else { return };
-                let sink: Sink = Arc::new(Mutex::new(writer));
+                let sink: Sink = Arc::new(Mutex::new(ConnSink(writer)));
                 let client = b.register_client();
                 wire::serve_conn(
                     &stream,

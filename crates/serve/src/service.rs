@@ -112,12 +112,6 @@ impl ServeService {
         &self.cache
     }
 
-    /// Per-shard memory-tier lookup/hit counters, in shard-index order
-    /// (the `metrics` verb's `shards` section).
-    pub fn shard_stats(&self) -> Vec<sv_core::ShardStats> {
-        self.cache.shard_stats()
-    }
-
     /// The machine registry requests resolve against.
     pub fn registry(&self) -> &MachineRegistry {
         &self.registry

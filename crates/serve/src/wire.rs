@@ -17,7 +17,8 @@ use std::time::{Duration, Instant};
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// How often a blocked connection read wakes to check whether the daemon
-/// has closed, so an idle client cannot hold its thread past shutdown.
+/// has closed, so an idle client cannot hold its thread past shutdown;
+/// also how long a write to a client may make no progress before it fails.
 pub(crate) const POLL: Duration = Duration::from_millis(200);
 
 /// Longest [`accept_loop`] drains a refused connection's input.
@@ -27,18 +28,14 @@ const REFUSED_LINGER: Duration = Duration::from_secs(1);
 /// oldest is closed.
 const MAX_REFUSED: usize = 64;
 
-/// Write one line: the body, then `\n`, then flush.
+/// Write one line, the body and its `\n` in one `write_all`, then flush.
 ///
-/// The two writes are deliberate. Without `TCP_NODELAY`, Nagle holds the
-/// lone `\n` segment until the peer's delayed ACK, which is most of
-/// svbench `warm_hits`' 44 ms round trip. But one write per line measured
-/// worse on a 2-core host (svbench `mixed`, 5 alternating pairs): p50 a
-/// median +15% and p90 +23%, and `TCP_NODELAY` did not recover it, while
-/// `warm_hits` p50 fell to 2.2 ms. That trade needs its own measured
-/// change; this is the one place to make it.
+/// One write per line, because sockets keep Nagle's algorithm on (no
+/// `TCP_NODELAY`): a second small write, such as a lone `\n`, would wait
+/// for the ACK of the first, which a peer that delays its ACKs sends 40 ms
+/// or more later on Linux, so every round trip would pay that wait.
 pub(crate) fn write_line<W: Write + ?Sized>(w: &mut W, body: &str) -> io::Result<()> {
-    w.write_all(body.as_bytes())?;
-    w.write_all(b"\n")?;
+    w.write_all(format!("{body}\n").as_bytes())?;
     w.flush()
 }
 
@@ -88,11 +85,12 @@ pub(crate) fn read_lines(
 }
 
 /// Serve one accepted connection's lines with [`read_lines`], its reads
-/// timing out every [`POLL`]. An over-long line is answered through
-/// `reply` and the connection closed: the write side is shut, then input
-/// is discarded until the client hangs up or the daemon closes, because
-/// closing with unread input would reset the connection and could lose
-/// the reply.
+/// timing out every [`POLL`], and its writes after [`POLL`] without
+/// progress, so a client that stops reading blocks no writer for longer.
+/// An over-long line is answered through `reply` and the connection
+/// closed: the write side is shut, then input is discarded until the
+/// client hangs up or the daemon closes, because closing with unread
+/// input would reset the connection and could lose the reply.
 pub(crate) fn serve_conn(
     stream: &TcpStream,
     closed: impl Fn() -> bool,
@@ -100,6 +98,7 @@ pub(crate) fn serve_conn(
     reply: impl FnOnce(&str),
 ) {
     let _ = stream.set_read_timeout(Some(POLL));
+    let _ = stream.set_write_timeout(Some(POLL));
     let Err(refusal) = read_lines(stream, &closed, on_line) else { return };
     reply(&refusal);
     let _ = stream.shutdown(Shutdown::Write);

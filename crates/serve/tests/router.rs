@@ -10,7 +10,10 @@
 //! * a connection past `max_clients` is refused with one typed
 //!   `overloaded` line;
 //! * a request line over `MAX_LINE_BYTES` is answered with one typed
-//!   `bad_request` naming the limit and its connection is closed.
+//!   `bad_request` naming the limit and its connection is closed;
+//! * a client that pipelines requests and never reads the responses
+//!   stalls only its own connection, which is closed after one write
+//!   timeout, while other clients are answered within 1 s.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -22,6 +25,9 @@ use sv_serve::{
     BatchConfig, Batcher, CompileRequest, Request, Router, ServeService, Server,
     DEFAULT_MAX_CLIENTS, MAX_LINE_BYTES,
 };
+
+mod common;
+use common::{assert_closed_by_daemon, call_within, stall_a_reader};
 
 /// One in-process `svd --tcp` shard.
 struct Shard {
@@ -211,4 +217,21 @@ fn over_long_request_line_is_refused_and_closes_the_connection() {
     drop(conn);
     let ack = routed_shutdown(addr, handle);
     assert!(ack.contains("\"shutdown\":true"), "{ack}");
+}
+
+#[test]
+fn a_client_that_never_reads_stalls_only_itself() {
+    let shard = Shard::start();
+    let (addr, _router, handle) = start_router(vec![shard.addr.to_string()], DEFAULT_MAX_CLIENTS);
+    let unread = stall_a_reader(addr);
+    let second = Duration::from_secs(1);
+    let stats = call_within(addr, "{\"verb\":\"stats\",\"id\":1}", second);
+    assert!(stats.contains("\"ok\":true"), "{stats}");
+    let compiled = call_within(addr, &compile_line(2), second);
+    assert!(compiled.contains("\"ok\":true"), "{compiled}");
+    // The failed write ended the unread connection.
+    assert_closed_by_daemon(unread);
+    let ack = routed_shutdown(addr, handle);
+    assert!(ack.contains("\"shards_acked\":1"), "{ack}");
+    shard.join();
 }

@@ -11,6 +11,9 @@
 //! * a request line over `MAX_LINE_BYTES` is answered with one typed
 //!   `bad_request` naming the limit and its connection is closed, while a
 //!   line of exactly the limit is served;
+//! * a client that pipelines requests and never reads the responses
+//!   holds the drainer for one write timeout at most: other clients are
+//!   still answered within 1 s, and its connection is shut down;
 //! * the `metrics` verb answers over TCP, and its rendering is pinned by
 //!   a golden snapshot (all numbers masked — the *shape* is the
 //!   contract). Re-bless intentional changes with:
@@ -24,6 +27,9 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 use sv_serve::{BatchConfig, Batcher, CompileRequest, Server, DEFAULT_MAX_CLIENTS, MAX_LINE_BYTES};
+
+mod common;
+use common::{assert_closed_by_daemon, call_within, stall_a_reader};
 
 fn start(
     max_clients: usize,
@@ -171,6 +177,21 @@ fn a_refused_client_that_writes_first_still_reads_the_typed_line() {
     drop(first);
     h.join().expect("server thread").expect("serve");
     Arc::try_unwrap(batcher).ok().expect("all conns joined").join().expect("drain");
+}
+
+#[test]
+fn a_client_that_never_reads_stalls_only_itself() {
+    let (addr, batcher, h) = start(DEFAULT_MAX_CLIENTS);
+    let unread = stall_a_reader(addr);
+    // Responses to other clients wait at most one write timeout.
+    let second = Duration::from_secs(1);
+    let stats = call_within(addr, "{\"verb\":\"stats\",\"id\":1}", second);
+    assert!(stats.contains("\"ok\":true"), "{stats}");
+    let compiled = call_within(addr, &compile_line(2), second);
+    assert!(compiled.contains("\"ok\":true"), "{compiled}");
+    // The failed write shut the unread connection down.
+    assert_closed_by_daemon(unread);
+    shutdown(addr, batcher, h);
 }
 
 /// A `stats` request padded with spaces to exactly `len` bytes.

@@ -18,9 +18,6 @@
 //!   ([`run_compiled_executed`] / [`executed_selfcheck`] /
 //!   [`compile_executed`] run whole compiled plans through it and prove
 //!   measured II == scheduled II against the reference engine);
-//! * [`validate_schedule`] — structural schedule validation (dependence
-//!   latencies and per-row resource capacities), re-exported from
-//!   `sv-modsched`;
 //! * [`reference`] — the original in-order interpreter, kept as the
 //!   bit-exact semantic baseline for the fast engine and the executor.
 //!
@@ -57,10 +54,6 @@ mod sched_exec;
 pub use interp::{execute_loop, LiveOutValue};
 pub use memory::{Memory, Scalar};
 pub use sched_exec::{execute_schedule, ExecError, ExecReport};
-// Structural schedule validation moved down into `sv-modsched` so the
-// `sv-core` driver can run it at pass boundaries; re-exported here for
-// back-compatibility.
-pub use sv_modsched::{validate_schedule, ValidationError};
 pub use run::{
     assert_equivalent, check_equivalent, compile_executed, executed_selfcheck,
     has_register_state_across_cleanup, oracle_selfcheck, run_compiled,

@@ -1,7 +1,7 @@
 //! # sv-vectorize — vectorizing loop transformations
 //!
 //! The code-generation side of the paper: given a *partition* of a loop's
-//! operations between scalar and vector resources, [`transform`] produces
+//! operations between scalar and vector resources, [`try_transform`] produces
 //! the transformed loop —
 //!
 //! * operations in the vector partition become vector opcodes over `k`
@@ -26,14 +26,13 @@
 //! * [`full_vectorization_partition`] — vectorize *every* legal operation
 //!   (subject to the has-a-vectorizable-neighbour profitability rule the
 //!   paper applies), keeping the loop intact;
-//! * [`traditional_vectorize`] — Allen–Kennedy loop distribution with
+//! * [`try_traditional_vectorize`] — Allen–Kennedy loop distribution with
 //!   typed greedy fusion and scalar expansion through memory.
 
 //!
-//! Each transformation comes in two flavours: a panicking one (the
-//! historical API, still what the tests' failure-injection harness
-//! exercises) and a fallible `try_*` twin returning a [`TransformError`],
-//! which the `sv-core` compilation driver uses to degrade gracefully.
+//! Each transformation reports an illegal input or an invalid output as a
+//! [`TransformError`], which the `sv-core` compilation driver uses to
+//! degrade gracefully.
 
 mod error;
 mod full;
@@ -45,6 +44,6 @@ mod widened;
 pub use error::TransformError;
 pub use full::full_vectorization_partition;
 pub use neighbor::apply_neighbor_rule;
-pub use traditional::{traditional_vectorize, try_traditional_vectorize, DistributedLoops};
-pub use transform::{transform, try_transform, Transformed};
-pub use widened::{try_widened_window_transform, widened_window_transform};
+pub use traditional::{try_traditional_vectorize, DistributedLoops};
+pub use transform::{try_transform, Transformed};
+pub use widened::try_widened_window_transform;

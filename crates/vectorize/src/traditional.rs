@@ -58,7 +58,7 @@ pub struct DistributedLoops {
 /// ```
 /// use sv_ir::{LoopBuilder, ScalarType};
 /// use sv_machine::MachineConfig;
-/// use sv_vectorize::traditional_vectorize;
+/// use sv_vectorize::try_traditional_vectorize;
 ///
 /// // Mixed loop: vectorizable multiply feeding a sequential reduction.
 /// let mut b = LoopBuilder::new("dot");
@@ -68,22 +68,13 @@ pub struct DistributedLoops {
 /// b.reduce_add(sq);
 /// let l = b.finish();
 ///
-/// let d = traditional_vectorize(&l, &MachineConfig::paper_default());
+/// let d = try_traditional_vectorize(&l, &MachineConfig::paper_default()).unwrap();
 /// // Distribution: a vector loop and a scalar reduction loop, linked by
 /// // a scalar-expansion temporary.
 /// assert_eq!(d.loops.len(), 2);
 /// assert!(d.loops[0].is_vector());
 /// assert_eq!(d.expansion_arrays, 1);
 /// ```
-pub fn traditional_vectorize(src: &Loop, m: &MachineConfig) -> DistributedLoops {
-    match try_traditional_vectorize(src, m) {
-        Ok(d) => d,
-        Err(e) => std::panic::panic_any(e.to_string()),
-    }
-}
-
-/// Fallible [`traditional_vectorize`]: distribution failures surface as a
-/// [`TransformError`] instead of an unwind.
 ///
 /// # Errors
 ///
@@ -322,7 +313,7 @@ mod tests {
 
     #[test]
     fn dot_product_distributes_into_vector_and_scalar() {
-        let d = traditional_vectorize(&dot_product(), &machine());
+        let d = try_traditional_vectorize(&dot_product(), &machine()).unwrap();
         assert_eq!(d.loops.len(), 2);
         assert!(d.loops[0].is_vector());
         assert!(!d.loops[1].is_vector());
@@ -351,7 +342,7 @@ mod tests {
         let s = b.fadd(ax, ly);
         b.store(y, 1, 0, s);
         let l = b.finish();
-        let d = traditional_vectorize(&l, &machine());
+        let d = try_traditional_vectorize(&l, &machine()).unwrap();
         assert_eq!(d.loops.len(), 1);
         assert!(d.loops[0].is_vector());
         assert_eq!(d.expansion_arrays, 0);
@@ -365,7 +356,7 @@ mod tests {
         let n = b.fneg(la);
         b.store(a, 1, 1, n);
         let l = b.finish();
-        let d = traditional_vectorize(&l, &machine());
+        let d = try_traditional_vectorize(&l, &machine()).unwrap();
         assert_eq!(d.loops.len(), 1);
         assert!(!d.loops[0].is_vector());
         assert_eq!(d.loops[0].main_loop().iter_scale, 1);
@@ -390,7 +381,7 @@ mod tests {
         let la = b.load(x, 1, 32);
         b.recurrence(OpKind::Mul, ScalarType::F64, la);
         let l = b.finish();
-        let d = traditional_vectorize(&l, &machine());
+        let d = try_traditional_vectorize(&l, &machine()).unwrap();
         assert_eq!(d.loops.len(), 2);
     }
 
@@ -416,7 +407,7 @@ mod tests {
         assert_eq!(t, hole);
         b.store(y, 1, 0, t);
         let l = b.finish();
-        let d = traditional_vectorize(&l, &machine());
+        let d = try_traditional_vectorize(&l, &machine()).unwrap();
         // The whole recurrence lands in one scalar loop; it must simply
         // not panic and must verify (checked inside the vectorizer).
         assert!(d.loops.iter().any(|dl| !dl.is_vector()));
@@ -442,7 +433,7 @@ mod tests {
         let r = id;
         b.store(y, 1, 0, r);
         let l = b.finish();
-        let d = traditional_vectorize(&l, &machine());
+        let d = try_traditional_vectorize(&l, &machine()).unwrap();
         assert!(d.expansion_arrays >= 1);
         // Find the expansion load in a scalar loop and check its offset is
         // pad - 2 with pad = 2 + vl.

@@ -102,46 +102,6 @@ struct Builder<'a> {
     order_edges: Vec<(Key, Key)>,
 }
 
-/// Transform `src` for machine `m` under `part` (`true` = vector
-/// partition). Non-vectorizable operations must be `false`; memory
-/// operations in the vector partition must be unit-stride and vector
-/// consumers' carried uses must be multiples of the vector length (both
-/// guaranteed by `sv-analysis` legality, asserted here).
-///
-/// Passing an all-`false` partition produces the paper's *baseline*: the
-/// loop unrolled by the vector length with base+offset addressing.
-///
-/// ```
-/// use sv_ir::{LoopBuilder, ScalarType};
-/// use sv_machine::MachineConfig;
-/// use sv_vectorize::transform;
-///
-/// let mut b = LoopBuilder::new("copy");
-/// let x = b.array("x", ScalarType::F64, 64);
-/// let y = b.array("y", ScalarType::F64, 64);
-/// let lx = b.load(x, 1, 0);
-/// b.store(y, 1, 0, lx);
-/// let l = b.finish();
-///
-/// let m = MachineConfig::paper_default();
-/// // Vectorize everything: one vector load + merge + merge + vector store.
-/// let t = transform(&l, &m, &[true, true]);
-/// assert_eq!(t.looop.iter_scale, 2);
-/// assert_eq!(t.merge_ops, 2); // misaligned by default on the paper machine
-/// ```
-///
-/// # Panics
-///
-/// Panics when the partition violates legality or indexes a different loop.
-/// [`try_transform`] reports the same conditions as a [`TransformError`]
-/// instead.
-pub fn transform(src: &Loop, m: &MachineConfig, part: &[bool]) -> Transformed {
-    match try_transform(src, m, part) {
-        Ok(t) => t,
-        Err(e) => std::panic::panic_any(e.to_string()),
-    }
-}
-
 /// Structural preconditions mirroring the transformer's internal
 /// invariants, checked up front so an illegal partition surfaces as a
 /// typed error rather than an unwind.
@@ -187,8 +147,33 @@ fn check_partition(src: &Loop, m: &MachineConfig, part: &[bool]) -> Result<(), T
     Ok(())
 }
 
-/// Fallible [`transform`]: the same transformation, with illegal
-/// partitions and invalid outputs reported as a [`TransformError`].
+/// Transform `src` for machine `m` under `part` (`true` = vector
+/// partition). Non-vectorizable operations must be `false`; memory
+/// operations in the vector partition must be unit-stride and vector
+/// consumers' carried uses must be multiples of the vector length (both
+/// guaranteed by `sv-analysis` legality, checked here).
+///
+/// Passing an all-`false` partition produces the paper's *baseline*: the
+/// loop unrolled by the vector length with base+offset addressing.
+///
+/// ```
+/// use sv_ir::{LoopBuilder, ScalarType};
+/// use sv_machine::MachineConfig;
+/// use sv_vectorize::try_transform;
+///
+/// let mut b = LoopBuilder::new("copy");
+/// let x = b.array("x", ScalarType::F64, 64);
+/// let y = b.array("y", ScalarType::F64, 64);
+/// let lx = b.load(x, 1, 0);
+/// b.store(y, 1, 0, lx);
+/// let l = b.finish();
+///
+/// let m = MachineConfig::paper_default();
+/// // Vectorize everything: one vector load + merge + merge + vector store.
+/// let t = try_transform(&l, &m, &[true, true]).unwrap();
+/// assert_eq!(t.looop.iter_scale, 2);
+/// assert_eq!(t.merge_ops, 2); // misaligned by default on the paper machine
+/// ```
 ///
 /// # Errors
 ///
@@ -831,7 +816,7 @@ mod tests {
         let l = daxpy();
         let mut m = MachineConfig::paper_default();
         m.alignment = AlignmentPolicy::AssumeAligned;
-        let t = transform(&l, &m, &vec![false; l.ops.len()]);
+        let t = try_transform(&l, &m, &vec![false; l.ops.len()]).unwrap();
         assert_eq!(t.looop.ops.len(), l.ops.len() * 2);
         assert_eq!(t.looop.iter_scale, 2);
         assert_eq!(t.transfer_ops, 0);
@@ -853,7 +838,7 @@ mod tests {
         let l = daxpy();
         let mut m = MachineConfig::paper_default();
         m.alignment = AlignmentPolicy::AssumeAligned;
-        let t = transform(&l, &m, &vec![true; l.ops.len()]);
+        let t = try_transform(&l, &m, &vec![true; l.ops.len()]).unwrap();
         assert_eq!(t.looop.ops.len(), l.ops.len());
         assert!(t.looop.ops.iter().all(|o| o.opcode.form == VectorForm::Vector));
         assert_eq!(t.transfer_ops, 0);
@@ -865,7 +850,7 @@ mod tests {
     fn misaligned_policy_inserts_merges() {
         let l = daxpy();
         let m = MachineConfig::paper_default(); // AssumeMisaligned
-        let t = transform(&l, &m, &vec![true; l.ops.len()]);
+        let t = try_transform(&l, &m, &vec![true; l.ops.len()]).unwrap();
         // 2 loads + 1 store, all misaligned ⇒ 3 merges.
         assert_eq!(t.merge_ops, 3);
         assert_eq!(
@@ -886,7 +871,7 @@ mod tests {
         let l = b.finish();
         let mut m = MachineConfig::paper_default();
         m.alignment = AlignmentPolicy::UseStatic;
-        let t = transform(&l, &m, &vec![true; l.ops.len()]);
+        let t = try_transform(&l, &m, &vec![true; l.ops.len()]).unwrap();
         assert_eq!(t.merge_ops, 1);
     }
 
@@ -908,7 +893,7 @@ mod tests {
         // Load vector; everything else scalar.
         let mut part = vec![false; l.ops.len()];
         part[lx.index()] = true;
-        let t = transform(&l, &m, &part);
+        let t = try_transform(&l, &m, &part).unwrap();
         // V→S transfer: 1 vstore + 2 loads = 3 ops, shared by both readers.
         assert_eq!(t.transfer_ops, 3);
         // 1 vload + 3 transfer + (4 scalar ops × 2 lanes) = 12.
@@ -929,7 +914,7 @@ mod tests {
         let mut part = vec![false; l.ops.len()];
         part[n.index()] = true;
         part[2] = true; // the store
-        let t = transform(&l, &m, &part);
+        let t = try_transform(&l, &m, &part).unwrap();
         // S→V: 2 stores + 1 vload.
         assert_eq!(t.transfer_ops, 3);
         let comm = t.looop.arrays.iter().find(|a| a.iteration_private).unwrap();
@@ -945,7 +930,7 @@ mod tests {
         let l = b.finish();
         let mut m = MachineConfig::paper_default();
         m.alignment = AlignmentPolicy::AssumeAligned;
-        let t = transform(&l, &m, &vec![false; l.ops.len()]);
+        let t = try_transform(&l, &m, &vec![false; l.ops.len()]).unwrap();
         let lanes = &t.scalar_copies[s.index()];
         assert_eq!(lanes.len(), 2);
         // Lane 1 reads lane 0 intra-iteration; lane 0 reads lane 1 carried.
@@ -968,7 +953,7 @@ mod tests {
         let l = b.finish();
         let mut m = MachineConfig::paper_default();
         m.alignment = AlignmentPolicy::AssumeAligned;
-        let t = transform(&l, &m, &vec![true; l.ops.len()]);
+        let t = try_transform(&l, &m, &vec![true; l.ops.len()]).unwrap();
         let lo = &t.looop.live_outs[0];
         assert_eq!(lo.horizontal, Some(OpKind::Add));
         assert_eq!(lo.op, t.vector_value_of[s.index()].unwrap());
@@ -983,7 +968,7 @@ mod tests {
         let m = MachineConfig::figure1();
         let mut part = vec![false; l.ops.len()];
         part[0] = true; // one load vectorized, consumers scalar
-        let t = transform(&l, &m, &part);
+        let t = try_transform(&l, &m, &part).unwrap();
         assert_eq!(t.transfer_ops, 0);
     }
 
@@ -1001,7 +986,7 @@ mod tests {
         let l = b.finish();
         let mut m = MachineConfig::paper_default();
         m.alignment = AlignmentPolicy::AssumeAligned;
-        let t = transform(&l, &m, &vec![false; l.ops.len()]);
+        let t = try_transform(&l, &m, &vec![false; l.ops.len()]).unwrap();
         let lanes = &t.scalar_copies[iv.index()];
         let o0 = &t.looop.ops[lanes[0].index()].operands[0];
         let o1 = &t.looop.ops[lanes[1].index()].operands[0];
@@ -1027,7 +1012,7 @@ mod tests {
         let l = b.finish();
         let mut m = MachineConfig::paper_default();
         m.alignment = AlignmentPolicy::AssumeAligned;
-        let t = transform(&l, &m, &vec![false; l.ops.len()]);
+        let t = try_transform(&l, &m, &vec![false; l.ops.len()]).unwrap();
         let load_lanes = &t.scalar_copies[lx.index()];
         let sub_lanes = &t.scalar_copies[d.index()];
         // Lane 0's carried operand: lane k-1 at distance 1.

@@ -24,7 +24,7 @@ use sv_ir::{
 use sv_machine::MachineConfig;
 
 /// The widened-window transform of `src` with unroll factor `unroll`
-/// (`unroll > vector_length`), or `None` when the loop is ineligible.
+/// (`unroll > vector_length`): `Ok(None)` when the loop is ineligible.
 ///
 /// The result covers `unroll` original iterations per loop iteration:
 /// one vector instance of every operation (iterations `0..k` of the
@@ -32,20 +32,6 @@ use sv_machine::MachineConfig;
 /// operations. Vector memory references are lowered as misaligned (merge
 /// on the merge unit) because the window size breaks alignment, per the
 /// paper's analysis.
-pub fn widened_window_transform(
-    src: &Loop,
-    m: &MachineConfig,
-    unroll: u32,
-) -> Option<Loop> {
-    match try_widened_window_transform(src, m, unroll) {
-        Ok(r) => r,
-        Err(e) => std::panic::panic_any(e.to_string()),
-    }
-}
-
-/// Fallible [`widened_window_transform`]: `Ok(None)` when the loop is
-/// ineligible, `Err` when the emitted loop fails IR verification (an
-/// internal bug, reported with a dump).
 ///
 /// # Errors
 ///
@@ -262,7 +248,7 @@ mod tests {
     #[test]
     fn widened_axpy_structure() {
         let m = MachineConfig::paper_default();
-        let w = widened_window_transform(&axpy(), &m, 3).expect("eligible");
+        let w = try_widened_window_transform(&axpy(), &m, 3).unwrap().expect("eligible");
         assert_eq!(w.iter_scale, 3);
         // Vector instances: 2 vloads + 2 merges + vmul + vadd + merge +
         // vstore = 8; scalar lane: 5 ops × 1 lane = 5.
@@ -289,7 +275,7 @@ mod tests {
         b.reduce_add(lx);
         let l = b.finish();
         let m = MachineConfig::paper_default();
-        assert!(widened_window_transform(&l, &m, 3).is_none());
+        assert!(try_widened_window_transform(&l, &m, 3).unwrap().is_none());
     }
 
     #[test]
@@ -301,7 +287,7 @@ mod tests {
         b.store(a, 1, 2, n); // distance 2 < window 3
         let l = b.finish();
         let m = MachineConfig::paper_default();
-        assert!(widened_window_transform(&l, &m, 3).is_none());
+        assert!(try_widened_window_transform(&l, &m, 3).unwrap().is_none());
         // Distance ≥ the window is fine.
         let mut b = LoopBuilder::new("rec4");
         let a = b.array("a", ScalarType::F64, 64);
@@ -309,6 +295,6 @@ mod tests {
         let n = b.fneg(la);
         b.store(a, 1, 4, n);
         let l = b.finish();
-        assert!(widened_window_transform(&l, &m, 3).is_some());
+        assert!(try_widened_window_transform(&l, &m, 3).unwrap().is_some());
     }
 }

@@ -2,7 +2,7 @@
 
 use sv_ir::{Loop, LoopBuilder, OpKind, Operand, ScalarType, VectorForm};
 use sv_machine::{AlignmentPolicy, MachineConfig};
-use sv_vectorize::{full_vectorization_partition, traditional_vectorize, transform};
+use sv_vectorize::{full_vectorization_partition, try_traditional_vectorize, try_transform};
 
 fn aligned_machine(vl: u32) -> MachineConfig {
     let mut m = MachineConfig::paper_default();
@@ -28,7 +28,7 @@ fn daxpy() -> Loop {
 fn vl4_unroll_produces_four_lanes() {
     let l = daxpy();
     let m = aligned_machine(4);
-    let t = transform(&l, &m, &vec![false; l.ops.len()]);
+    let t = try_transform(&l, &m, &vec![false; l.ops.len()]).unwrap();
     assert_eq!(t.looop.iter_scale, 4);
     assert_eq!(t.looop.ops.len(), l.ops.len() * 4);
     // Lane 3 loads x[4i+3].
@@ -42,7 +42,7 @@ fn vl4_unroll_produces_four_lanes() {
 fn vl4_vectorization_widens_refs() {
     let l = daxpy();
     let m = aligned_machine(4);
-    let t = transform(&l, &m, &vec![true; l.ops.len()]);
+    let t = try_transform(&l, &m, &vec![true; l.ops.len()]).unwrap();
     assert_eq!(t.looop.ops.len(), l.ops.len());
     let vload = &t.looop.ops[0];
     assert_eq!((vload.mem_ref().stride, vload.mem_ref().width), (4, 4));
@@ -58,7 +58,7 @@ fn vl4_transfers_have_four_lane_stores() {
     // transfer of 1 vstore + 4 loads.
     let mut part = vec![false; l.ops.len()];
     part[2] = true;
-    let t = transform(&l, &m, &part);
+    let t = try_transform(&l, &m, &part).unwrap();
     assert_eq!(t.transfer_ops, (4 + 1) * 2);
     let comm = t.looop.arrays.iter().filter(|a| a.iteration_private).count();
     assert_eq!(comm, 2);
@@ -68,7 +68,7 @@ fn vl4_transfers_have_four_lane_stores() {
 fn misaligned_store_chains_merge_before_store() {
     let l = daxpy();
     let m = MachineConfig::paper_default(); // AssumeMisaligned
-    let t = transform(&l, &m, &vec![true; l.ops.len()]);
+    let t = try_transform(&l, &m, &vec![true; l.ops.len()]).unwrap();
     let vstore = t
         .looop
         .ops
@@ -97,7 +97,7 @@ fn carried_distance_two_vector_consumer() {
     b.store(u, 1, 0, mu);
     let l = b.finish();
     let m = aligned_machine(2);
-    let t = transform(&l, &m, &vec![true; l.ops.len()]);
+    let t = try_transform(&l, &m, &vec![true; l.ops.len()]).unwrap();
     let vmul = t.vector_value_of[mu.index()].unwrap();
     let op = &t.looop.ops[vmul.index()];
     // The carried operand becomes distance 1 in transformed iterations.
@@ -127,7 +127,7 @@ fn traditional_expansion_array_matches_producer_init() {
     b.store(y, 1, 0, c);
     let l = b.finish();
     let m = aligned_machine(2);
-    let d = traditional_vectorize(&l, &m);
+    let d = try_traditional_vectorize(&l, &m).unwrap();
     // The recurrence is op %1, so its temporary is named `expand1`; the
     // load's temporary (if any) keeps the additive zero fill.
     let expand = d
@@ -155,7 +155,7 @@ fn full_partition_respects_neighbor_rule_transitively() {
     let part = full_vectorization_partition(&l, &g, 2);
     assert!(part.iter().all(|&v| !v));
     let m = aligned_machine(2);
-    let t = transform(&l, &m, &part);
+    let t = try_transform(&l, &m, &part).unwrap();
     assert!(t.looop.ops.iter().all(|o| o.opcode.form == VectorForm::Scalar));
 }
 
@@ -166,7 +166,7 @@ fn transform_preserves_trip_metadata() {
     l.invocations = 7;
     l.allow_reassoc = true;
     let m = aligned_machine(2);
-    let t = transform(&l, &m, &vec![true; l.ops.len()]);
+    let t = try_transform(&l, &m, &vec![true; l.ops.len()]).unwrap();
     assert_eq!(t.looop.trip, l.trip);
     assert_eq!(t.looop.invocations, 7);
     assert!(t.looop.allow_reassoc);

@@ -9,8 +9,8 @@
 use selvec::analysis::DepGraph;
 use selvec::core::{compile, Strategy};
 use selvec::machine::MachineConfig;
-use selvec::modsched::emit_flat_for;
-use selvec::sim::{execute_schedule, validate_schedule, Memory};
+use selvec::modsched::{emit_flat_for, validate_schedule};
+use selvec::sim::{execute_schedule, Memory};
 use selvec::workloads::figure1_dot_product;
 
 fn main() {

@@ -13,7 +13,7 @@ use selvec::ir::RegClass;
 use selvec::machine::MachineConfig;
 use selvec::modsched::{allocate_rotating, emit_flat, emit_flat_for, modulo_schedule};
 use selvec::sim::{execute_schedule, run_source, Memory};
-use selvec::vectorize::transform;
+use selvec::vectorize::try_transform;
 use selvec::workloads::figure1_dot_product;
 
 fn main() {
@@ -42,7 +42,7 @@ fn main() {
     }
 
     println!("\n── 4. loop transformation ─────────────────────────────────");
-    let t = transform(&looop, &machine, &part.partition);
+    let t = try_transform(&looop, &machine, &part.partition).expect("legal partition");
     println!("{}", t.looop);
 
     println!("── 5. modulo scheduling (Rau) ─────────────────────────────");

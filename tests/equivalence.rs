@@ -6,10 +6,10 @@ use selvec::analysis::DepGraph;
 use selvec::core::parallel::{default_jobs, run_ordered};
 use selvec::core::{compile, Strategy};
 use selvec::machine::MachineConfig;
-use selvec::modsched::emit_flat_for;
+use selvec::modsched::{emit_flat_for, validate_schedule};
 use selvec::sim::{
     assert_equivalent, execute_loop, execute_schedule, executed_selfcheck,
-    has_register_state_across_cleanup, validate_schedule, Memory,
+    has_register_state_across_cleanup, Memory,
 };
 use selvec::workloads::all_benchmarks;
 

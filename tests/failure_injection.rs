@@ -8,10 +8,9 @@ use selvec::core::{
 };
 use selvec::ir::{LoopBuilder, OpKind, Operand, ScalarType};
 use selvec::machine::MachineConfig;
-use selvec::sim::{
-    execute_loop, execute_schedule, validate_schedule, ExecError, Memory, ValidationError,
-};
-use selvec::vectorize::{transform, try_transform, TransformError};
+use selvec::modsched::{validate_schedule, ValidationError};
+use selvec::sim::{execute_loop, execute_schedule, ExecError, Memory};
+use selvec::vectorize::{try_transform, TransformError};
 
 fn sample() -> selvec::ir::Loop {
     let mut b = LoopBuilder::new("sample");
@@ -78,7 +77,7 @@ fn misaligned_carried() -> selvec::ir::Loop {
 #[test]
 fn illegal_partition_is_rejected_by_the_transformer() {
     // Vector consumer of a carried use at distance 1 (not a multiple of
-    // VL): the transformer must diagnose it as a typed error...
+    // VL): the transformer must diagnose it as a typed error.
     let l2 = misaligned_carried();
     let m = MachineConfig::paper_default();
     let err = try_transform(&l2, &m, &vec![true; l2.ops().len()])
@@ -87,10 +86,6 @@ fn illegal_partition_is_rejected_by_the_transformer() {
         matches!(err, TransformError::MisalignedCarriedUse { distance: 1, .. }),
         "{err}"
     );
-    // ...and the legacy panicking wrapper must preserve the diagnosis.
-    let result =
-        std::panic::catch_unwind(|| transform(&l2, &m, &vec![true; l2.ops().len()]));
-    assert!(result.is_err(), "misaligned carried use must be rejected");
 }
 
 #[test]
@@ -105,8 +100,6 @@ fn non_unit_stride_vector_mem_is_rejected() {
     let err = try_transform(&l, &m, &vec![true; l.ops().len()])
         .expect_err("strided vector memory must be rejected");
     assert!(matches!(err, TransformError::NotUnitStride { stride: 2, .. }), "{err}");
-    let result = std::panic::catch_unwind(|| transform(&l, &m, &vec![true; l.ops().len()]));
-    assert!(result.is_err(), "strided vector memory must be rejected");
 }
 
 #[test]

@@ -11,10 +11,8 @@ use selvec::analysis::{brute_force_mem_deps, mem_dependences, DepGraph, Distance
 use selvec::core::{compile, partition_ops, SelectiveConfig, Strategy};
 use selvec::ir::{ArrayId, MemRef};
 use selvec::machine::MachineConfig;
-use selvec::modsched::{allocate_rotating, validate_assignment};
-use selvec::sim::{
-    assert_equivalent, has_register_state_across_cleanup, validate_schedule,
-};
+use selvec::modsched::{allocate_rotating, validate_assignment, validate_schedule};
+use selvec::sim::{assert_equivalent, has_register_state_across_cleanup};
 use selvec::workloads::{synth_loop, SmallRng, SynthProfile};
 
 const CASES: u64 = 48;
