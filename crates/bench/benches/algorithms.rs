@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the compilation algorithms themselves, checking the
 //! paper's §3.2 claim that partitioning time is small next to modulo
-//! scheduling, plus an ablation of the sum-of-squares tie-break.
+//! scheduling — per synthetic loop size and as one suite-wide ratio —
+//! plus an ablation of the sum-of-squares tie-break.
 //!
 //! Dependency-free harness (`harness = false`): each case is warmed up,
 //! then timed over enough iterations to smooth scheduler noise, reporting
@@ -13,7 +14,7 @@ use sv_core::{partition_ops, SelectiveConfig};
 use sv_machine::MachineConfig;
 use sv_modsched::modulo_schedule;
 use sv_vectorize::try_transform;
-use sv_workloads::{synth_loop, SynthProfile};
+use sv_workloads::{all_benchmarks, synth_loop, SynthProfile};
 
 fn sized_profile(loads: u32, arith: u32) -> SynthProfile {
     SynthProfile {
@@ -30,6 +31,18 @@ fn sized_profile(loads: u32, arith: u32) -> SynthProfile {
         trip: (128, 128),
         invocations: (1, 1),
     }
+}
+
+/// The fastest of 5 timed calls of `f`, in seconds.
+fn fastest<T>(mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut best = f64::MAX;
+    let mut out = None;
+    for _ in 0..5 {
+        let t = Instant::now();
+        out = Some(std::hint::black_box(f()));
+        best = best.min(t.elapsed().as_secs_f64());
+    }
+    (best, out.expect("five calls"))
 }
 
 /// Time `f` and print a per-call figure: 3 warmup calls, then the median
@@ -79,6 +92,28 @@ fn main() {
             let _ = modulo_schedule(&t.looop, &g, &m).unwrap();
         });
     }
+
+    // §3.2 over the whole suite: the mean time to partition a loop
+    // against the mean time to modulo schedule the loop its partition
+    // transforms it into, each loop at its fastest of 5 calls.
+    let (mut partition_s, mut schedule_s, mut loops) = (0.0, 0.0, 0u32);
+    for l in all_benchmarks().iter().flat_map(|s| &s.loops) {
+        let g = DepGraph::build(l);
+        let (t, r) = fastest(|| partition_ops(l, &g, &m, &SelectiveConfig::default()));
+        partition_s += t;
+        let tl = try_transform(l, &m, &r.partition).unwrap().looop;
+        let tg = DepGraph::build(&tl);
+        schedule_s += fastest(|| modulo_schedule(&tl, &tg, &m).unwrap()).0;
+        loops += 1;
+    }
+    let (p, s) = (partition_s / f64::from(loops), schedule_s / f64::from(loops));
+    println!(
+        "suite_3_2/paper  partition_ops {:.1} µs  modulo_schedule {:.1} µs  \
+         ratio {:.2}  ({loops} loops)",
+        p * 1e6,
+        s * 1e6,
+        p / s
+    );
 
     for (loads, arith) in [(8u32, 16u32), (12, 32)] {
         let l = synth_loop("bench", &sized_profile(loads, arith), 7);

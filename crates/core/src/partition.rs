@@ -12,11 +12,15 @@
 //! The algorithm is iterative: every pass repositions each vectorizable
 //! operation exactly once — even when a move temporarily increases the cost
 //! — keeping the best configuration seen; passes repeat until one fails to
-//! improve. Candidate moves are costed *incrementally* by releasing and
-//! re-reserving only the affected resources against checkpointed bins; the
-//! committed move is followed by a fresh bin-packing, exactly as the paper
-//! describes.
+//! improve. Candidate moves are costed *incrementally*, as the paper
+//! describes: a probe snapshots the bins into a reused buffer, releases
+//! only the resources the move affects (logged per op by the last
+//! bin-packing), re-reserves them for the flipped op without recording
+//! anything, reads the cost, and restores the snapshot. The committed move
+//! is followed by a fresh bin-packing, done in place. Nothing in a probe
+//! allocates.
 
+use std::ops::Range;
 use sv_analysis::{vectorizable_ops, DepGraph};
 use sv_ir::{Loop, OpId, OpKind, Opcode, VectorForm};
 use sv_machine::{CommModel, MachineConfig, Reservation, TransferDirection};
@@ -180,6 +184,9 @@ struct CostModel<'a> {
     /// Bin-packing order: most-constrained opcodes first, fixed up front
     /// (partition flips barely move the ordering).
     pack_order: Vec<usize>,
+    /// Empty bins over the machine's pool with the loop overhead
+    /// reserved: where every bin-packing starts.
+    overhead: Bins,
 }
 
 impl<'a> CostModel<'a> {
@@ -192,79 +199,93 @@ impl<'a> CostModel<'a> {
         let pool = m.resource_pool();
         let mut pack_order: Vec<usize> = (0..l.ops.len()).collect();
         pack_order.sort_by_key(|&i| (m.alternatives_count_in(&pool, l.ops[i].opcode), i));
-        CostModel { l, m, cfg, prices, k: m.vector_length, pack_order }
+        let mut overhead = Bins::new(&pool);
+        for reqs in m.loop_overhead() {
+            overhead.reserve(&reqs);
+        }
+        CostModel { l, m, cfg, prices, k: m.vector_length, pack_order, overhead }
     }
 
-    /// Reserve the op's own execution resources (lines 38–45 of Figure 2):
-    /// `k` scalar issues, or one vector issue plus realignment merges.
-    fn reserve_own(&self, bins: &mut Bins, i: usize, vector: bool) -> sv_modsched::Placement {
-        let mut placement = sv_modsched::Placement::default();
+    /// The op's own execution resources (lines 38–45 of Figure 2) and how
+    /// many times to reserve them: `k` scalar issues, or one vector issue
+    /// plus realignment merges.
+    fn own(&self, i: usize, vector: bool) -> (&'a [Reservation], u32) {
         if vector {
-            merge_into(&mut placement, bins.reserve(&self.prices.vector[i]));
+            (&self.prices.vector[i], 1)
         } else {
-            for _ in 0..self.k {
-                merge_into(&mut placement, bins.reserve(&self.prices.scalar[i]));
-            }
+            (&self.prices.scalar[i], self.k)
         }
-        placement
     }
 
-    /// Reserve the transfer instructions for op `i`'s *value* under the
-    /// given partition assignment (lines 46–48): nothing when the op's
-    /// value stays within its partition, otherwise the through-memory
+    /// The transfer instructions for op `i`'s *value* under the given
+    /// partition assignment (lines 46–48): nothing when the op's value
+    /// stays within its partition, otherwise the through-memory
     /// store/load sequence, charged once regardless of consumer count.
-    fn reserve_comm(&self, bins: &mut Bins, i: usize, part: &[bool]) -> sv_modsched::Placement {
-        let mut placement = sv_modsched::Placement::default();
-        if !self.cfg.account_communication || self.m.comm != CommModel::ThroughMemory {
-            return placement;
-        }
-        let op = &self.l.ops[i];
-        if !op.defines_value() {
-            return placement;
+    fn comm(&self, i: usize, part: &[bool]) -> &'a [Reservation] {
+        if !self.cfg.account_communication
+            || self.m.comm != CommModel::ThroughMemory
+            || !self.l.ops[i].defines_value()
+        {
+            return &[];
         }
         let produces_vector = part[i];
         let needs = self.prices.consumers[i]
             .iter()
             .any(|c| part[c.index()] != produces_vector);
         if !needs {
-            return placement;
+            return &[];
         }
-        let reqs = &self.prices.comm[i][if produces_vector { 1 } else { 0 }];
-        for r in reqs {
-            merge_into(&mut placement, bins.reserve(std::slice::from_ref(r)));
-        }
-        placement
+        &self.prices.comm[i][usize::from(produces_vector)]
     }
 }
 
-fn merge_into(into: &mut sv_modsched::Placement, from: sv_modsched::Placement) {
-    into.extend(from);
-}
-
-/// Complete bin-packing of a configuration (Figure 2, BIN-PACK): loop
-/// overhead first, then every operation in most-constrained-first order,
-/// then the required transfers. Returns the bins and per-op placements.
+/// A complete bin-packing of one configuration (Figure 2, BIN-PACK) and
+/// what each op reserved in it, kept in one flat `(bin, cycles)` arena so
+/// a cost probe can release exactly an op's share. Repacked in place; one
+/// per partitioning call, shared by both descents.
 struct Packed {
     bins: Bins,
-    own: Vec<sv_modsched::Placement>,
-    comm: Vec<sv_modsched::Placement>,
+    /// The probe's snapshot of `bins`, restored after each probe.
+    saved: Bins,
+    arena: Vec<(usize, u32)>,
+    /// Each op's own reservations: a range of `arena`.
+    own: Vec<Range<usize>>,
+    /// The reservations for the transfers of each op's value.
+    comm: Vec<Range<usize>>,
 }
 
-fn bin_pack(model: &CostModel<'_>, part: &[bool]) -> Packed {
-    let mut bins = Bins::new(model.m.resource_pool());
-    for reqs in model.m.loop_overhead() {
-        bins.reserve(&reqs);
+impl Packed {
+    fn new(model: &CostModel<'_>) -> Packed {
+        let n = model.l.ops.len();
+        Packed {
+            bins: model.overhead.clone(),
+            saved: model.overhead.clone(),
+            arena: Vec::new(),
+            own: vec![0..0; n],
+            comm: vec![0..0; n],
+        }
     }
-    let n = model.l.ops.len();
-    let mut own = vec![sv_modsched::Placement::default(); n];
-    let mut comm = vec![sv_modsched::Placement::default(); n];
-    for &i in &model.pack_order {
-        own[i] = model.reserve_own(&mut bins, i, part[i]);
+
+    /// Bin-pack `part` from scratch: loop overhead first, then every
+    /// operation in most-constrained-first order, then the required
+    /// transfers.
+    fn repack(&mut self, model: &CostModel<'_>, part: &[bool]) {
+        self.bins.copy_from(&model.overhead);
+        self.arena.clear();
+        for &i in &model.pack_order {
+            let start = self.arena.len();
+            let (reqs, times) = model.own(i, part[i]);
+            for _ in 0..times {
+                self.bins.reserve_logged(reqs, &mut self.arena);
+            }
+            self.own[i] = start..self.arena.len();
+        }
+        for i in 0..part.len() {
+            let start = self.arena.len();
+            self.bins.reserve_logged(model.comm(i, part), &mut self.arena);
+            self.comm[i] = start..self.arena.len();
+        }
     }
-    for (i, c) in comm.iter_mut().enumerate() {
-        *c = model.reserve_comm(&mut bins, i, part);
-    }
-    Packed { bins, own, comm }
 }
 
 /// Run the partitioner on `l` for machine `m`.
@@ -315,18 +336,19 @@ pub(crate) fn kl_partition(
 ) -> PartitionResult {
     let movable = &prices.movable;
     let model = CostModel::new(l, m, cfg, prices);
+    let mut packed = Packed::new(&model);
 
     // Kernighan–Lin is a local search; seed it from both extremes — the
     // paper's all-scalar start and the legal all-vector (full) partition —
     // and keep the cheaper result. The second start removes the rare local
     // minimum where full vectorization would beat the all-scalar descent.
     let scalar_start = vec![false; l.ops.len()];
-    let mut best = kl_descend(&model, cfg, movable, scalar_start, cfg.max_moves);
+    let mut best = kl_descend(&model, &mut packed, movable, scalar_start, cfg.max_moves);
     if movable.iter().any(|&v| v) {
         // The second descent spends whatever the first left of the budget.
         let remaining = cfg.max_moves.map(|cap| cap.saturating_sub(best.moves_evaluated));
         let full_start = movable.clone();
-        let alt = kl_descend(&model, cfg, movable, full_start, remaining);
+        let alt = kl_descend(&model, &mut packed, movable, full_start, remaining);
         let budget_exhausted = best.budget_exhausted || alt.budget_exhausted;
         let iterations = best.iterations + alt.iterations;
         let moves_evaluated = best.moves_evaluated + alt.moves_evaluated;
@@ -352,23 +374,27 @@ pub(crate) fn kl_partition(
 }
 
 /// One full Kernighan–Lin descent (Figure 2 lines 1–20) from `start`,
-/// probing at most `move_cap` candidate moves.
+/// probing at most `move_cap` candidate moves. `packed` is scratch: its
+/// contents on entry do not matter.
 fn kl_descend(
     model: &CostModel<'_>,
-    cfg: &SelectiveConfig,
+    packed: &mut Packed,
     movable: &[bool],
     start: Vec<bool>,
     move_cap: Option<u64>,
 ) -> PartitionResult {
+    let cfg = model.cfg;
     let n = movable.len();
+    let movable_count = movable.iter().filter(|&&v| v).count();
     let mut moves_evaluated = 0u64;
     let mut moves_committed = 0u64;
     let mut bin_packs = 1u64;
     let mut budget_exhausted = false;
     let mut part = start;
-    let mut packed = bin_pack(model, &part);
+    packed.repack(model, &part);
     let mut best_part = part.clone();
     let mut best_cost = packed.bins.high_water_mark();
+    let mut locked = vec![false; n];
 
     let mut iterations = 0u32;
     let mut last_cost = u32::MAX;
@@ -380,10 +406,9 @@ fn kl_descend(
         }
         last_cost = best_cost;
         iterations += 1;
-        let mut locked = vec![false; n];
+        locked.fill(false);
 
         // Lines 10–18: reposition every movable op exactly once.
-        let movable_count = movable.iter().filter(|&&v| v).count();
         for _ in 0..movable_count {
             // FIND-OP-TO-SWITCH: probe each unlocked candidate.
             let mut best_probe: Option<((u32, u64), usize)> = None;
@@ -396,7 +421,7 @@ fn kl_descend(
                     break 'passes;
                 }
                 moves_evaluated += 1;
-                let cost = probe_switch(model, &mut packed, &mut part, i);
+                let cost = probe_switch(model, packed, &mut part, i);
                 let key = if cfg.squares_tiebreak { cost } else { (cost.0, 0) };
                 if best_probe.is_none_or(|(bc, bi)| key < bc || (key == bc && i < bi)) {
                     best_probe = Some((key, i));
@@ -409,18 +434,18 @@ fn kl_descend(
             locked[op] = true;
             moves_committed += 1;
             bin_packs += 1;
-            packed = bin_pack(model, &part);
+            packed.repack(model, &part);
             let cost = packed.bins.high_water_mark();
             if cost < best_cost {
                 best_cost = cost;
-                best_part = part.clone();
+                best_part.copy_from_slice(&part);
             }
         }
 
         // Line 19: restart from the best configuration.
-        part = best_part.clone();
+        part.copy_from_slice(&best_part);
         bin_packs += 1;
-        packed = bin_pack(model, &part);
+        packed.repack(model, &part);
     }
 
     PartitionResult {
@@ -434,32 +459,37 @@ fn kl_descend(
     }
 }
 
-/// TEST-REPARTITION (lines 29–32): checkpoint the bins, release the op's
+/// TEST-REPARTITION (lines 29–32): snapshot the bins, release the op's
 /// own resources plus the transfers of its value and its producers'
-/// values, flip, re-reserve, read the cost, and restore.
+/// values, flip, re-reserve, read the cost, and restore the snapshot.
 fn probe_switch(
     model: &CostModel<'_>,
     packed: &mut Packed,
     part: &mut [bool],
     i: usize,
 ) -> (u32, u64) {
-    let checkpoint = packed.bins.checkpoint();
+    let producers = &model.prices.producers[i];
+    let Packed { bins, saved, arena, own, comm } = packed;
+    saved.copy_from(bins);
 
-    packed.bins.release(&packed.own[i]);
-    packed.bins.release(&packed.comm[i]);
-    for p in &model.prices.producers[i] {
-        packed.bins.release(&packed.comm[p.index()]);
+    bins.release(&arena[own[i].clone()]);
+    bins.release(&arena[comm[i].clone()]);
+    for p in producers {
+        bins.release(&arena[comm[p.index()].clone()]);
     }
 
     part[i] = !part[i];
-    let _ = model.reserve_own(&mut packed.bins, i, part[i]);
-    let _ = model.reserve_comm(&mut packed.bins, i, part);
-    for p in &model.prices.producers[i] {
-        let _ = model.reserve_comm(&mut packed.bins, p.index(), part);
+    let (reqs, times) = model.own(i, part[i]);
+    for _ in 0..times {
+        bins.reserve(reqs);
     }
-    let cost = (packed.bins.high_water_mark(), packed.bins.sum_squares());
+    bins.reserve(model.comm(i, part));
+    for p in producers {
+        bins.reserve(model.comm(p.index(), part));
+    }
+    let cost = (bins.high_water_mark(), bins.sum_squares());
     part[i] = !part[i];
-    packed.bins.restore(&checkpoint);
+    bins.copy_from(saved);
     cost
 }
 
@@ -472,6 +502,13 @@ mod tests {
     fn run(l: &Loop, m: &MachineConfig) -> PartitionResult {
         let g = DepGraph::build(l);
         partition_ops(l, &g, m, &SelectiveConfig::default())
+    }
+
+    /// The bin-packed cost of the all-scalar configuration.
+    fn pack_cost(model: &CostModel<'_>, l: &Loop) -> u32 {
+        let mut packed = Packed::new(model);
+        packed.repack(model, &vec![false; l.ops.len()]);
+        packed.bins.high_water_mark()
     }
 
     fn figure1_dot() -> Loop {
@@ -510,11 +547,8 @@ mod tests {
         let model_cfg = SelectiveConfig::default();
         let r = partition_ops(&l, &g, &m, &model_cfg);
         let prices = Prices::new(&l, &g, &m);
-        let all_scalar = bin_pack(
-            &CostModel::new(&l, &m, &model_cfg, &prices),
-            &vec![false; l.ops.len()],
-        );
-        assert!(r.cost <= all_scalar.bins.high_water_mark());
+        let all_scalar = pack_cost(&CostModel::new(&l, &m, &model_cfg, &prices), &l);
+        assert!(r.cost <= all_scalar);
     }
 
     #[test]
@@ -566,12 +600,7 @@ mod tests {
         let r = partition_ops(&l, &g, &m, &SelectiveConfig::default());
         let prices = Prices::new(&l, &g, &m);
         let cfg = SelectiveConfig::default();
-        let scalar_cost = bin_pack(&CostModel::new(&l, &m, &cfg, &prices), &vec![
-            false;
-            l.ops.len()
-        ])
-        .bins
-        .high_water_mark();
+        let scalar_cost = pack_cost(&CostModel::new(&l, &m, &cfg, &prices), &l);
         assert!(
             r.cost < scalar_cost,
             "selective ({}) should beat all-scalar ({})",

@@ -7,52 +7,41 @@
 //! squared-sum tie-break keeps the bins balanced so the partitioner's
 //! incremental release/reserve cost probes stay accurate — exactly the
 //! optimization the paper describes in §3.2.
+//!
+//! Adding `c > 0` cycles to a heavier bin never lowers either key, so
+//! that rule always picks a least-used instance (the lowest dense id among
+//! equals); with `c = 0` every choice leaves the weights as they were.
+//! [`Bins`] therefore places by weight alone and keeps the high-water mark
+//! and the sum of squares up to date as it goes, so a reservation costs
+//! one pass over its class's instances and no allocation.
 
-use sv_machine::{Reservation, ResourcePool};
-
-/// The reservations one logical operation made, so they can be released
-/// later (the partitioner's checkpoint/release/reserve probe).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Placement {
-    /// `(dense instance id, cycles)` pairs.
-    entries: Vec<(usize, u32)>,
-}
-
-impl Placement {
-    /// The reserved `(dense instance id, cycles)` pairs.
-    pub fn entries(&self) -> &[(usize, u32)] {
-        &self.entries
-    }
-
-    /// Absorb another placement's reservations (so one logical item can
-    /// bundle several `reserve` calls and release them together).
-    pub fn extend(&mut self, other: Placement) {
-        self.entries.extend(other.entries);
-    }
-
-    /// Total cycles reserved across all instances.
-    pub fn total_cycles(&self) -> u64 {
-        self.entries.iter().map(|&(_, c)| u64::from(c)).sum()
-    }
-}
+use sv_machine::{Reservation, ResourceClass, ResourcePool};
 
 /// Resource usage bins over a machine's resource pool.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Bins {
-    pool: ResourcePool,
+    /// Dense-id range of each class's instances, indexed by
+    /// `ResourceClass as usize` (empty for an absent class).
+    ranges: [(usize, usize); ResourceClass::ALL.len()],
     weights: Vec<u32>,
+    /// Σ weight², exact.
+    squares: u64,
+    /// The largest weight, unless `high_stale`.
+    high: u32,
+    /// A release lowered a bin that held the high-water mark; the next
+    /// [`Bins::high_water_mark`] rescans.
+    high_stale: bool,
 }
 
 impl Bins {
     /// Empty bins over `pool`.
-    pub fn new(pool: ResourcePool) -> Bins {
-        let weights = vec![0; pool.len()];
-        Bins { pool, weights }
-    }
-
-    /// The underlying pool.
-    pub fn pool(&self) -> &ResourcePool {
-        &self.pool
+    pub fn new(pool: &ResourcePool) -> Bins {
+        let mut ranges = [(0, 0); ResourceClass::ALL.len()];
+        for class in ResourceClass::ALL {
+            let r = pool.alternative_range(class);
+            ranges[class as usize] = (r.start, r.end);
+        }
+        Bins { ranges, weights: vec![0; pool.len()], squares: 0, high: 0, high_stale: false }
     }
 
     /// Weight (reserved cycles) of each instance, dense-id indexed.
@@ -63,99 +52,108 @@ impl Bins {
     /// The weight of the most heavily used resource — the configuration
     /// cost, i.e. the resource-constrained minimum initiation interval.
     pub fn high_water_mark(&self) -> u32 {
-        self.weights.iter().copied().max().unwrap_or(0)
+        if self.high_stale {
+            self.weights.iter().copied().max().unwrap_or(0)
+        } else {
+            self.high
+        }
     }
 
     /// Sum of squared bin weights; the balance-sensitive secondary cost.
     pub fn sum_squares(&self) -> u64 {
-        self.weights.iter().map(|&w| u64::from(w) * u64::from(w)).sum()
+        self.squares
     }
 
     /// Reserve one least-used instance of each required class
-    /// (RESERVE-LEAST-USED): among a class's alternatives pick the one
-    /// that, after adding the reservation, minimizes the high-water mark,
-    /// breaking ties by the sum of squares. Returns the placement for later
-    /// release.
+    /// (RESERVE-LEAST-USED), recording nothing.
     ///
     /// # Panics
     ///
     /// Panics when a required class has no instances in the pool — a
     /// machine/opcode mismatch.
-    pub fn reserve(&mut self, reqs: &[Reservation]) -> Placement {
-        let mut placement = Placement::default();
-        placement.entries.reserve(reqs.len());
+    pub fn reserve(&mut self, reqs: &[Reservation]) {
         for r in reqs {
-            let alts = self.pool.alternative_range(r.class);
-            assert!(
-                !alts.is_empty(),
-                "opcode requires {} but the machine has none",
-                r.class
-            );
-            // Precompute current high and sum of squares once; candidates
-            // only change one bin.
-            let cur_high = self.high_water_mark();
-            let cur_sq = self.sum_squares();
-            let mut best: Option<(u32, u64, usize)> = None;
-            for id in alts {
-                let w_old = self.weights[id];
-                let w_new = w_old + r.cycles;
-                let high = cur_high.max(w_new);
-                let sq = cur_sq - u64::from(w_old) * u64::from(w_old)
-                    + u64::from(w_new) * u64::from(w_new);
-                let cand = (high, sq, id);
-                if best.is_none_or(|b| (cand.0, cand.1) < (b.0, b.1)) {
-                    best = Some(cand);
-                }
+            self.place(r);
+        }
+    }
+
+    /// [`Bins::reserve`], appending each `(dense instance id, cycles)`
+    /// it reserved to `log` so the caller can [`Bins::release`] them.
+    ///
+    /// # Panics
+    ///
+    /// As [`Bins::reserve`].
+    pub fn reserve_logged(&mut self, reqs: &[Reservation], log: &mut Vec<(usize, u32)>) {
+        for r in reqs {
+            let id = self.place(r);
+            log.push((id, r.cycles));
+        }
+    }
+
+    /// Add `r.cycles` to the first least-used instance of `r.class`;
+    /// returns its dense id.
+    fn place(&mut self, r: &Reservation) -> usize {
+        let (start, end) = self.ranges[r.class as usize];
+        assert!(start < end, "opcode requires {} but the machine has none", r.class);
+        let mut id = start;
+        for cand in start + 1..end {
+            if self.weights[cand] < self.weights[id] {
+                id = cand;
             }
-            let (_, _, id) = best.expect("non-empty alternatives");
-            self.weights[id] += r.cycles;
-            placement.entries.push((id, r.cycles));
         }
-        placement
+        let w_old = self.weights[id];
+        let w_new = w_old + r.cycles;
+        self.weights[id] = w_new;
+        self.squares += u64::from(w_new) * u64::from(w_new) - u64::from(w_old) * u64::from(w_old);
+        self.high = self.high.max(w_new);
+        id
     }
 
-    /// Snapshot the current weights (cheap checkpoint for cost probes).
-    pub fn checkpoint(&self) -> Vec<u32> {
-        self.weights.clone()
-    }
-
-    /// Restore weights saved by [`Bins::checkpoint`].
+    /// Release `(dense instance id, cycles)` reservations logged by
+    /// [`Bins::reserve_logged`] (the partitioner's RELEASE-RESOURCES).
     ///
     /// # Panics
     ///
-    /// Panics when the snapshot came from a different pool (length
-    /// mismatch).
-    pub fn restore(&mut self, snapshot: &[u32]) {
-        assert_eq!(snapshot.len(), self.weights.len(), "snapshot pool mismatch");
-        self.weights.copy_from_slice(snapshot);
+    /// Panics when an entry was not actually reserved (weights would go
+    /// negative) — a caller bookkeeping bug.
+    pub fn release(&mut self, entries: &[(usize, u32)]) {
+        for &(id, cycles) in entries {
+            let w_old = self.weights[id];
+            assert!(w_old >= cycles, "releasing more cycles than reserved on bin {id}");
+            let w_new = w_old - cycles;
+            self.weights[id] = w_new;
+            self.squares -=
+                u64::from(w_old) * u64::from(w_old) - u64::from(w_new) * u64::from(w_new);
+            if w_old == self.high && cycles > 0 {
+                self.high_stale = true;
+            }
+        }
     }
 
-    /// Release a previous placement (the partitioner's RELEASE-RESOURCES).
+    /// Overwrite this state with `other`'s, without allocating: the
+    /// partitioner's snapshot before a cost probe and its restore after.
     ///
     /// # Panics
     ///
-    /// Panics when the placement was not actually reserved (weights would
-    /// go negative) — a caller bookkeeping bug.
-    pub fn release(&mut self, placement: &Placement) {
-        for &(id, cycles) in &placement.entries {
-            assert!(
-                self.weights[id] >= cycles,
-                "releasing more cycles than reserved on bin {id}"
-            );
-            self.weights[id] -= cycles;
-        }
+    /// Panics when `other` covers a pool of another size.
+    pub fn copy_from(&mut self, other: &Bins) {
+        assert_eq!(self.weights.len(), other.weights.len(), "snapshot pool mismatch");
+        self.weights.copy_from_slice(&other.weights);
+        self.squares = other.squares;
+        self.high = other.high;
+        self.high_stale = other.high_stale;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sv_machine::{MachineConfig, ResourceClass};
     use sv_ir::{OpKind, Opcode, ScalarType};
+    use sv_machine::{MachineConfig, ResourceClass};
 
     fn paper_bins() -> (MachineConfig, Bins) {
         let m = MachineConfig::paper_default();
-        let b = Bins::new(m.resource_pool());
+        let b = Bins::new(&m.resource_pool());
         (m, b)
     }
 
@@ -182,21 +180,25 @@ mod tests {
     #[test]
     fn release_restores_exactly() {
         let (m, mut b) = paper_bins();
-        let snapshot = b.clone();
+        let before = b.weights().to_vec();
         let fmul = Opcode::scalar(OpKind::Mul, ScalarType::F64);
-        let p = b.reserve(&m.requirements(fmul));
-        assert_ne!(b, snapshot);
-        b.release(&p);
-        assert_eq!(b, snapshot);
+        let mut log = Vec::new();
+        b.reserve_logged(&m.requirements(fmul), &mut log);
+        assert_ne!(b.weights(), before);
+        b.release(&log);
+        assert_eq!(b.weights(), before);
+        assert_eq!((b.high_water_mark(), b.sum_squares()), (0, 0));
     }
 
     #[test]
     fn divide_reserves_full_latency() {
         let (m, mut b) = paper_bins();
         let fdiv = Opcode::scalar(OpKind::Div, ScalarType::F64);
-        let p = b.reserve(&m.requirements(fdiv));
+        let mut log = Vec::new();
+        b.reserve_logged(&m.requirements(fdiv), &mut log);
         assert_eq!(b.high_water_mark(), 32);
-        assert_eq!(p.total_cycles(), 33); // 32 on the FP unit + 1 issue slot
+        // 32 on the FP unit + 1 issue slot.
+        assert_eq!(log.iter().map(|&(_, c)| c).sum::<u32>(), 33);
     }
 
     #[test]
@@ -208,13 +210,8 @@ mod tests {
         for _ in 0..6 {
             b.reserve(&m.requirements(fadd));
         }
-        let pool = b.pool().clone();
-        let issue_weights: Vec<u32> = pool
-            .alternatives(ResourceClass::Issue)
-            .iter()
-            .map(|i| b.weights()[pool.dense_id(*i)])
-            .collect();
-        assert_eq!(issue_weights, vec![1; 6]);
+        let issue = m.resource_pool().alternative_range(ResourceClass::Issue);
+        assert_eq!(b.weights()[issue], [1; 6]);
         assert_eq!(b.high_water_mark(), 3);
     }
 
@@ -223,7 +220,7 @@ mod tests {
     fn missing_class_panics() {
         let mut m = MachineConfig::paper_default();
         m.merge_units = 0;
-        let mut b = Bins::new(m.resource_pool());
+        let mut b = Bins::new(&m.resource_pool());
         let merge = Opcode::vector(OpKind::Merge, ScalarType::F64);
         b.reserve(&m.requirements(merge));
     }
@@ -233,8 +230,16 @@ mod tests {
     fn over_release_panics() {
         let (m, mut b) = paper_bins();
         let load = Opcode::scalar(OpKind::Load, ScalarType::F64);
-        let p = b.reserve(&m.requirements(load));
-        b.release(&p);
-        b.release(&p);
+        let mut log = Vec::new();
+        b.reserve_logged(&m.requirements(load), &mut log);
+        b.release(&log);
+        b.release(&log);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot pool mismatch")]
+    fn copy_from_another_pool_panics() {
+        let (_, mut b) = paper_bins();
+        b.copy_from(&Bins::new(&MachineConfig::figure1().resource_pool()));
     }
 }

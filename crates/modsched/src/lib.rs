@@ -9,8 +9,9 @@
 //!   Figure 2 (most-constrained operations first, least-used alternative
 //!   chosen by high-water mark with a sum-of-squares tie-break). The
 //!   [`Bins`] type is shared with the selective-vectorization
-//!   partitioner in `sv-core`, which uses the same cost machinery
-//!   incrementally.
+//!   partitioner in `sv-core`, which costs its candidate moves against
+//!   the same bins by releasing and re-reserving only what a move
+//!   touches.
 //! * **RecMII** — the recurrence-constrained lower bound, from the maximum
 //!   cycle ratio of the dependence graph (binary search + Bellman-Ford
 //!   positive-cycle detection on `delay − II·distance` weights).
@@ -48,7 +49,7 @@ mod regalloc;
 mod sched;
 mod validate;
 
-pub use binpack::{Bins, Placement};
+pub use binpack::Bins;
 pub use emit::{emit_flat, emit_flat_for, FlatListing, Row};
 pub use exact::{exact_schedule, Budget, ExactOutcome, Stop};
 pub use mii::{

@@ -61,7 +61,7 @@ pub fn check_units(l: &Loop, m: &MachineConfig) -> Result<(), ScheduleError> {
 /// control overhead is included when the machine charges it.
 pub fn compute_resmii(l: &Loop, m: &MachineConfig) -> u32 {
     let pool = m.resource_pool();
-    let mut bins = Bins::new(pool.clone());
+    let mut bins = Bins::new(&pool);
     for reqs in m.loop_overhead() {
         bins.reserve(&reqs);
     }
